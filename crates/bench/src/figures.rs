@@ -8,18 +8,18 @@ use noc_hw::{SynthError, SynthResult, Synthesizer};
 use noc_quality::{
     sw_quality_curve, vc_quality_curve, QualityCurve, SwQualityConfig, VcQualityConfig,
 };
-use noc_sim::sim::{latency_curve_with, run_sim};
+use noc_sim::sim::{latency_curve_with, run_sim_engine, Engine};
 use noc_sim::{SimConfig, SimResult};
 
 /// The runner signature every simulation-driven series accepts: a plain
-/// `run_sim` closure reproduces the legacy behavior; the sweep
+/// sequential run reproduces the legacy behavior; the sweep
 /// orchestrator's cache-backed runner makes the same computation
 /// resumable and shareable across binaries.
 pub type SimRunner = dyn Fn(&SimConfig, u64, u64) -> SimResult + Sync;
 
-/// The direct (uncached) runner: plain [`run_sim`].
+/// The direct (uncached) runner: a plain sequential [`run_sim_engine`].
 pub fn direct_runner() -> impl Fn(&SimConfig, u64, u64) -> SimResult + Sync {
-    |cfg, warmup, measure| run_sim(cfg, warmup, measure)
+    |cfg, warmup, measure| run_sim_engine(cfg, warmup, measure, Engine::Sequential)
 }
 
 /// One VC-allocator cost point (Figures 5/6): a variant in dense and
@@ -311,7 +311,7 @@ pub fn zero_load(cfg: &SimConfig, measure: u64) -> f64 {
         injection_rate: 0.01,
         ..cfg.clone()
     };
-    run_sim(&cfg, 2_000, measure).avg_latency
+    run_sim_engine(&cfg, 2_000, measure, Engine::Sequential).avg_latency
 }
 
 #[cfg(test)]

@@ -36,12 +36,12 @@
 //! `cycles_per_sec` is the median over `reps` timed runs of the default
 //! path (no tracing, no profiling), so the number a baseline locks in is
 //! the one users actually experience. The `profile` object comes from one
-//! extra instrumented run and is informational: it shows *where* the time
+//! extra instrumented run on the same engine and is informational: it shows *where* the time
 //! goes (route / vc_alloc / sw_alloc / traversal / credit shares), which
 //! is the first thing to look at when a regression check fails.
 
 use noc_obs::{JsonValue, Profiler};
-use noc_sim::{run_sim_engine, run_sim_profiled, Engine, SimConfig, SimResult, TopologyKind};
+use noc_sim::{run_sim_engine, Engine, Run, SimConfig, SimResult, TopologyKind};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -178,7 +178,13 @@ pub fn run_bench(params: &BenchParams, mut progress: impl FnMut(&str)) -> BenchR
         }
         times.sort_unstable();
         let wall_nanos = times[times.len() / 2];
-        let (_, profile) = run_sim_profiled(&cfg, params.warmup, params.measure);
+        let profile = Run::new(&cfg, params.warmup, params.measure)
+            .engine(params.engine)
+            .profile()
+            .go()
+            .ok()
+            .and_then(|out| out.profile)
+            .unwrap_or_default();
         let cycles_per_sec = cycles as f64 / (wall_nanos as f64 * 1e-9);
         progress(&format!(
             "{name}: {:.2} Mcycles/sec ({} reps)",

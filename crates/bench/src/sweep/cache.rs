@@ -170,7 +170,7 @@ pub(crate) fn sync_dir(dir: &Path) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_sim::{run_sim, SimConfig, TopologyKind};
+    use noc_sim::{run_sim_engine, Engine, SimConfig, TopologyKind};
     use std::sync::atomic::AtomicUsize;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -193,7 +193,7 @@ mod tests {
             injection_rate: 0.1,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
         };
-        let r = run_sim(&cfg, 50, 100);
+        let r = run_sim_engine(&cfg, 50, 100, Engine::Sequential);
         let d = cfg.digest(50, 100, "test/v1");
         assert!(!cache.contains(&d));
         cache.store(&d, &r).unwrap();
@@ -227,7 +227,7 @@ mod tests {
                     injection_rate: rate,
                     ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
                 };
-                run_sim(&cfg, 50, 150)
+                run_sim_engine(&cfg, 50, 150, Engine::Sequential)
             })
             .collect();
         let digest = "f00dfacef00dfacef00dfacef00dface";

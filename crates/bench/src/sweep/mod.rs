@@ -22,7 +22,7 @@
 //! - [`runner`]: [`run_sweep`] — journal-skip / cache-hit / compute
 //!   accounting, `run_many` parallelism, progress + ETA on stderr, and a
 //!   manifest export; plus [`cached_runner`]/[`env_runner`] which give the
-//!   figure renderers a cache-backed `run_sim`.
+//!   figure renderers a cache-backed point runner.
 //! - [`presets`]: the in-repo sweeps covering the simulation figures and
 //!   ablations, plus a CI-sized `smoke` preset.
 //! - [`render`]: exact stdout reproductions of the legacy figure

@@ -24,10 +24,7 @@ use noc_obs::{
     sweep_manifest_json, window_jsonl, AnatomyHeader, ProgressMeter, SweepManifestPoint,
     TelemetryHeader,
 };
-use noc_sim::{
-    run_many, run_sim_anatomy, run_sim_engine, run_sim_recorded_with, Engine, SimConfig, SimResult,
-    TelemetryOptions,
-};
+use noc_sim::{run_many, run_sim_engine, Engine, Run, SimConfig, SimResult, TelemetryOptions};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -84,49 +81,17 @@ const SWEEP_ANATOMY_CAPACITY: usize = 1 << 16;
 /// Slowest-packet waterfalls kept per anatomy-enabled sweep point.
 const SWEEP_ANATOMY_TOP_K: usize = 8;
 
-/// Simulates one point with the per-packet latency ledger attached and
-/// writes the `noc-anatomy/v1` dump next to the cached result. Like
-/// telemetry, the dump stays out of both the point digest and the cached
-/// `SimResult` (the ledger is a pure observer), so anatomy and plain
-/// sweeps share cache entries byte for byte.
-fn compute_with_anatomy(
-    point: &SweepPoint,
-    engine: Engine,
-    cache_dir: &Path,
-    digest: &str,
-) -> Result<SimResult, String> {
-    let (r, col) = run_sim_anatomy(
-        &point.cfg,
-        point.warmup,
-        point.measure,
-        engine,
-        SWEEP_ANATOMY_CAPACITY,
-        SWEEP_ANATOMY_TOP_K,
-    );
-    let header = AnatomyHeader {
-        digest: digest.to_string(),
-        label: point.label.clone(),
-        routers: point.cfg.topology.build().num_routers(),
-        warmup: point.warmup,
-        measure: point.measure,
-        capacity: SWEEP_ANATOMY_CAPACITY as u64,
-        top_k: SWEEP_ANATOMY_TOP_K as u64,
-    };
-    let path = cache_dir.join(anatomy_filename(digest));
-    std::fs::write(&path, col.to_jsonl(&header))
-        .map_err(|e| format!("anatomy: cannot write {}: {e}", path.display()))?;
-    Ok(r)
-}
-
-/// Simulates one point with the flight recorder attached and writes the
-/// `noc-telemetry/v1` dump next to the cached result. The dump stays out of
-/// both the point digest and the cached `SimResult` (the summary is
-/// stripped before the result is stored), so telemetry and plain sweeps
+/// Simulates one point with whichever dump observers are on — the flight
+/// recorder, the per-packet latency ledger, or both on the same run — and
+/// writes each `noc-telemetry/v1` / `noc-anatomy/v1` dump next to the
+/// cached result. Both observers are pure, and the telemetry summary is
+/// stripped before the result is stored, so the dumps stay out of both the
+/// point digest and the cached `SimResult`: dump-enabled and plain sweeps
 /// share cache entries byte for byte.
-fn compute_with_telemetry(
+fn compute_with_dumps(
     point: &SweepPoint,
     engine: Engine,
-    cache_dir: &Path,
+    opts: &SweepOptions,
     digest: &str,
 ) -> Result<SimResult, String> {
     let topts = TelemetryOptions {
@@ -135,37 +100,54 @@ fn compute_with_telemetry(
         watchdog: None,
         ..TelemetryOptions::recording()
     };
-    let header = TelemetryHeader {
+    let routers = point.cfg.topology.build().num_routers();
+    let mut telemetry = TelemetryHeader {
         digest: digest.to_string(),
         label: point.label.clone(),
         window: topts.window,
         match_every: topts.match_every,
-        routers: point.cfg.topology.build().num_routers(),
+        routers,
         warmup: point.warmup,
         measure: point.measure,
-    };
-    let mut text = header.to_json();
-    text.push('\n');
-    let (mut r, _rec) = run_sim_recorded_with(
-        &point.cfg,
-        point.warmup,
-        point.measure,
-        engine,
-        topts,
-        |snap| {
-            text.push_str(&window_jsonl(snap));
-            text.push('\n');
-        },
-    )
-    .map_err(|trip| {
+    }
+    .to_json();
+    telemetry.push('\n');
+    let mut run = Run::new(&point.cfg, point.warmup, point.measure).engine(engine);
+    if opts.telemetry {
+        run = run.telemetry(topts).on_window(|snap| {
+            telemetry.push_str(&window_jsonl(snap));
+            telemetry.push('\n');
+        });
+    }
+    if opts.anatomy {
+        run = run.anatomy(SWEEP_ANATOMY_CAPACITY, SWEEP_ANATOMY_TOP_K);
+    }
+    let out = run.go().map_err(|trip| {
         format!(
             "telemetry: watchdog tripped with no watchdog set: {}",
             trip.describe()
         )
     })?;
-    let path = cache_dir.join(telemetry_filename(digest));
-    std::fs::write(&path, text)
-        .map_err(|e| format!("telemetry: cannot write {}: {e}", path.display()))?;
+    let write = |name: String, text: &str| {
+        let path = opts.cache_dir.join(name);
+        std::fs::write(&path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))
+    };
+    if opts.telemetry {
+        write(telemetry_filename(digest), &telemetry)?;
+    }
+    if let Some(col) = &out.anatomy {
+        let header = AnatomyHeader {
+            digest: digest.to_string(),
+            label: point.label.clone(),
+            routers,
+            warmup: point.warmup,
+            measure: point.measure,
+            capacity: SWEEP_ANATOMY_CAPACITY as u64,
+            top_k: SWEEP_ANATOMY_TOP_K as u64,
+        };
+        write(anatomy_filename(digest), &col.to_jsonl(&header))?;
+    }
+    let mut r = out.result;
     r.telemetry = None;
     Ok(r)
 }
@@ -237,19 +219,11 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
                 // re-journaling it is harmless (the done-set dedups).
                 None => {
                     let engine = opts.engine.unwrap_or(point.engine);
-                    let r = if opts.telemetry {
-                        compute_with_telemetry(point, engine, &opts.cache_dir, digest)?
-                    } else if opts.anatomy {
-                        compute_with_anatomy(point, engine, &opts.cache_dir, digest)?
+                    let r = if opts.telemetry || opts.anatomy {
+                        compute_with_dumps(point, engine, opts, digest)?
                     } else {
                         run_sim_engine(&point.cfg, point.warmup, point.measure, engine)
                     };
-                    if opts.telemetry && opts.anatomy {
-                        // Both observers requested: the anatomy dump comes
-                        // from a second run, bit-identical because both
-                        // layers are pure observers.
-                        compute_with_anatomy(point, engine, &opts.cache_dir, digest)?;
-                    }
                     cache.store(digest, &r)?;
                     (r, "computed")
                 }
@@ -325,7 +299,7 @@ pub fn run_sweep(spec: &SweepSpec, opts: &SweepOptions) -> Result<SweepOutcome, 
     })
 }
 
-/// A `run_sim`-shaped closure backed by the content-addressed cache:
+/// A point runner backed by the content-addressed cache:
 /// hits load, misses compute on `engine` and store. The figure renderers
 /// take this to make their grid points *and* their adaptive
 /// bisection/saturation probes resumable.
@@ -347,7 +321,7 @@ pub fn cached_runner(
     }
 }
 
-/// The runner a figure binary uses: plain `run_sim` normally, or the
+/// The runner a figure binary uses: a plain sequential run normally, or the
 /// cache at `$NOC_SWEEP_CACHE` when that variable names a directory —
 /// which is how `noc sweep run --preset <fig>` makes the binaries' exact
 /// output reproducible without re-simulating.

@@ -88,6 +88,17 @@ pub trait TraceSink {
     fn record(&mut self, ev: FlitEvent);
 }
 
+/// A borrowed sink records into its referent, so a caller can lend a sink
+/// to a run and read it once the run is over.
+impl<T: TraceSink> TraceSink for &mut T {
+    const ACTIVE: bool = T::ACTIVE;
+
+    #[inline(always)]
+    fn record(&mut self, ev: FlitEvent) {
+        (**self).record(ev);
+    }
+}
+
 /// The zero-cost disabled sink.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct NopSink;

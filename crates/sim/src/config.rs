@@ -9,13 +9,13 @@ use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind, VcAllocSpec};
 /// allocator design choices under study).
 ///
 /// ```
-/// use noc_sim::{run_sim, SimConfig, TopologyKind};
+/// use noc_sim::{run_sim_engine, Engine, SimConfig, TopologyKind};
 ///
 /// let cfg = SimConfig {
 ///     injection_rate: 0.1,
 ///     ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
 /// };
-/// let result = run_sim(&cfg, 500, 1_000);
+/// let result = run_sim_engine(&cfg, 500, 1_000, Engine::Sequential);
 /// assert!(result.stable);
 /// assert!(result.avg_latency > 10.0 && result.avg_latency < 40.0);
 /// ```

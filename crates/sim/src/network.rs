@@ -311,22 +311,52 @@ impl<S: TraceSink> Network<S> {
 
     /// Runs one network cycle.
     pub fn step(&mut self) {
-        self.step_profiled(&mut NopProfiler)
+        self.cycle::<_, _, false>(&mut NopProfiler, &mut NopChecker);
     }
 
     /// Runs one network cycle, attributing wall time to pipeline phases.
     /// With [`NopProfiler`] every clock read compiles away and this is the
     /// plain [`Network::step`] fast path.
     pub fn step_profiled<P: PhaseProfiler>(&mut self, prof: &mut P) {
-        self.step_checked(prof, &mut NopChecker)
+        self.cycle::<_, _, false>(prof, &mut NopChecker);
     }
 
-    /// Runs one network cycle with the runtime invariant checker attached.
-    /// With [`NopChecker`] (the [`Network::step`] / [`Network::step_profiled`]
-    /// path) every check compiles away; an active checker additionally runs
-    /// the per-router matching-legality invariants and a whole-network
-    /// credit-conservation audit after the cycle.
-    pub fn step_checked<P: PhaseProfiler, K: InvariantChecker>(
+    /// Runs `cycles` cycles of the cycle body on this thread, routers in
+    /// router-id order, with `prof` and `chk` attached: the sequential
+    /// engine, or with `SKIP_IDLE` the active-set engine (whose skip debts
+    /// are settled before returning, so stall-cause read-outs such as
+    /// [`Network::router_obs`] match the sequential engine exactly).
+    pub(crate) fn run_in_order<P: PhaseProfiler, K: InvariantChecker, const SKIP_IDLE: bool>(
+        &mut self,
+        cycles: u64,
+        prof: &mut P,
+        chk: &mut K,
+    ) {
+        for _ in 0..cycles {
+            self.cycle::<P, K, SKIP_IDLE>(prof, chk);
+        }
+        if SKIP_IDLE {
+            for r in &mut self.routers {
+                r.flush_skipped();
+            }
+        }
+    }
+
+    /// The one cycle body every engine shares (the parallel engine's pool
+    /// aside, which shards the same router compute across threads).
+    ///
+    /// With `SKIP_IDLE` (the active-set engine) routers with no buffered
+    /// flit and no flit in switch traversal are skipped. That is
+    /// cycle-identical: an idle router's step produces no outputs and
+    /// touches no allocator state; its only observable effect — one `empty`
+    /// stall count per input VC — is accrued as a debt settled by
+    /// [`Router::flush_skipped`].
+    ///
+    /// With [`NopProfiler`] and [`NopChecker`] every clock read and check
+    /// compiles away; an active checker additionally runs the per-router
+    /// matching-legality invariants and a whole-network credit-conservation
+    /// audit after the cycle.
+    fn cycle<P: PhaseProfiler, K: InvariantChecker, const SKIP_IDLE: bool>(
         &mut self,
         prof: &mut P,
         chk: &mut K,
@@ -351,6 +381,10 @@ impl<S: TraceSink> Network<S> {
         // router (here) is cycle-identical to computing all routers first
         // (the parallel engine) as long as commits stay in router-id order.
         for r in 0..self.routers.len() {
+            if SKIP_IDLE && self.routers[r].is_idle() {
+                self.routers[r].note_skipped();
+                continue;
+            }
             {
                 let (routers, out_buf, topo, sink) = (
                     &mut self.routers,
@@ -390,172 +424,21 @@ impl<S: TraceSink> Network<S> {
         self.now += 1;
     }
 
-    /// Runs one network cycle with the router compute phase sharded across
-    /// `threads` scoped threads. Cycle-identical to [`Network::step`]: the
-    /// compute phase of each router reads nothing outside the router, and
-    /// the commit phase runs on this thread in router-id order, so the
-    /// timing-wheel event order matches the sequential engine exactly.
+    /// Runs `cycles` cycles on the parallel engine: the router compute
+    /// phase is sharded across a persistent pool of `threads` workers.
+    /// Workers spin between cycles, so this is a throughput engine for
+    /// batch runs, not for interactive stepping.
     ///
-    /// With an active trace sink the compute phase falls back to a
-    /// sequential in-order loop so trace event order stays identical too.
-    pub fn step_parallel(&mut self, threads: usize) {
-        let threads = threads.clamp(1, self.routers.len().max(1));
-        let now = self.now;
-        deliver_and_inject(
-            &self.topo,
-            &self.cfg,
-            &mut self.wheel,
-            &mut self.routers,
-            &mut self.terminals,
-            &mut self.stats,
-            &mut self.sink,
-            &mut self.anatomy,
-            now,
-            &mut NopProfiler,
-        );
-
-        if S::ACTIVE || threads == 1 {
-            for r in 0..self.routers.len() {
-                let (routers, out_buf, topo, sink) = (
-                    &mut self.routers,
-                    &mut self.out_buf,
-                    &self.topo,
-                    &mut self.sink,
-                );
-                routers[r].step_into(topo, now, &mut out_buf[r], sink, &mut NopProfiler);
-            }
-        } else {
-            let topo = &self.topo;
-            let chunk = self.routers.len().div_ceil(threads);
-            std::thread::scope(|s| {
-                for (rs, os) in self
-                    .routers
-                    .chunks_mut(chunk)
-                    .zip(self.out_buf.chunks_mut(chunk))
-                {
-                    s.spawn(move || {
-                        for (router, out) in rs.iter_mut().zip(os.iter_mut()) {
-                            router.step_into(topo, now, out, &mut NopSink, &mut NopProfiler);
-                        }
-                    });
-                }
-            });
-        }
-
-        for r in 0..self.routers.len() {
-            commit_outputs(
-                &self.topo,
-                &self.rev,
-                &mut self.wheel,
-                r,
-                &mut self.out_buf[r],
-                &mut self.anatomy,
-                now,
-            );
-        }
-        finish_cycle(
-            &self.routers,
-            &self.terminals,
-            &self.stats,
-            &mut self.metrics,
-            &mut self.telemetry,
-            false,
-            now,
-        );
-        self.now += 1;
-    }
-
-    /// Runs one network cycle skipping routers with no buffered flits and
-    /// no flit in switch traversal. Cycle-identical to [`Network::step`]:
-    /// an idle router's step produces no outputs and touches no allocator
-    /// state; its only observable effect — one `empty` stall count per
-    /// input VC — is accrued as a debt settled by [`Network::flush_skips`]
-    /// (or lazily on the router's next non-idle step).
-    pub fn step_active(&mut self) {
-        let now = self.now;
-        deliver_and_inject(
-            &self.topo,
-            &self.cfg,
-            &mut self.wheel,
-            &mut self.routers,
-            &mut self.terminals,
-            &mut self.stats,
-            &mut self.sink,
-            &mut self.anatomy,
-            now,
-            &mut NopProfiler,
-        );
-
-        for r in 0..self.routers.len() {
-            if self.routers[r].is_idle() {
-                self.routers[r].note_skipped();
-                continue;
-            }
-            {
-                let (routers, out_buf, topo, sink) = (
-                    &mut self.routers,
-                    &mut self.out_buf,
-                    &self.topo,
-                    &mut self.sink,
-                );
-                routers[r].step_into(topo, now, &mut out_buf[r], sink, &mut NopProfiler);
-            }
-            commit_outputs(
-                &self.topo,
-                &self.rev,
-                &mut self.wheel,
-                r,
-                &mut self.out_buf[r],
-                &mut self.anatomy,
-                now,
-            );
-        }
-        finish_cycle(
-            &self.routers,
-            &self.terminals,
-            &self.stats,
-            &mut self.metrics,
-            &mut self.telemetry,
-            false,
-            now,
-        );
-        self.now += 1;
-    }
-
-    /// Settles the active-set engine's skipped-cycle debt so stall-cause
-    /// read-outs ([`Network::router_obs`], [`Network::router_breakdowns`])
-    /// match the sequential engine exactly. [`Network::run_active`] calls
-    /// this; manual [`Network::step_active`] users must call it before
-    /// reading per-VC stall counters.
-    pub fn flush_skips(&mut self) {
-        for r in &mut self.routers {
-            r.flush_skipped();
-        }
-    }
-
-    /// Runs `cycles` cycles on the active-set engine and settles skip
-    /// debts.
-    pub fn run_active(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step_active();
-        }
-        self.flush_skips();
-    }
-
-    /// Runs `cycles` cycles on the parallel engine with a persistent pool
-    /// of `threads` workers, avoiding the per-cycle thread-spawn cost of
-    /// [`Network::step_parallel`]. Workers spin between cycles, so this is
-    /// a throughput engine for batch runs, not for interactive stepping.
-    ///
-    /// Cycle-identical to [`Network::run`] for the same reasons as
-    /// [`Network::step_parallel`]. With an active trace sink it degrades to
-    /// per-cycle sequential-compute steps so trace order is preserved.
+    /// Cycle-identical to [`Network::run`]: the compute phase of each
+    /// router reads nothing outside the router, and the commit phase runs
+    /// on this thread in router-id order, so the timing-wheel event order
+    /// matches the sequential engine exactly. With one thread or an active
+    /// trace sink it computes routers in router-id order on this thread
+    /// (the sequential cycle body), so trace event order is preserved too.
     pub fn run_parallel(&mut self, cycles: u64, threads: usize) {
         let threads = threads.clamp(1, self.routers.len().max(1));
         if threads == 1 || S::ACTIVE {
-            for _ in 0..cycles {
-                self.step_parallel(threads);
-            }
+            self.run(cycles);
             return;
         }
         if cycles == 0 {
@@ -906,9 +789,7 @@ impl<S: TraceSink> Network<S> {
 
     /// Runs `cycles` network cycles.
     pub fn run(&mut self, cycles: u64) {
-        for _ in 0..cycles {
-            self.step();
-        }
+        self.run_in_order::<_, _, false>(cycles, &mut NopProfiler, &mut NopChecker);
     }
 
     /// True when no flit is buffered, in flight, or queued anywhere.

@@ -441,37 +441,12 @@ impl Router {
         );
     }
 
-    /// Runs one cycle without tracing (the common fast path).
+    /// Runs one cycle without tracing or profiling, returning a fresh
+    /// output buffer (a convenience over [`Router::step_into`] for unit
+    /// tests; the network engines reuse their buffers).
     pub fn step(&mut self, topo: &Topology, now: u64) -> RouterOutputs {
-        self.step_profiled(topo, now, &mut NopSink, &mut NopProfiler)
-    }
-
-    /// Runs one cycle, reporting pipeline steps to `sink`; with
-    /// [`NopSink`] the instrumentation compiles away.
-    pub fn step_traced<S: TraceSink>(
-        &mut self,
-        topo: &Topology,
-        now: u64,
-        sink: &mut S,
-    ) -> RouterOutputs {
-        self.step_profiled(topo, now, sink, &mut NopProfiler)
-    }
-
-    /// Runs one cycle: switch traversal for last cycle's grants, then VC
-    /// allocation and speculative switch allocation in parallel (stage 1
-    /// for the flits still queued). Every pipeline step is reported to
-    /// `sink`, and wall time per pipeline phase to `prof`; with
-    /// [`NopSink`] / [`NopProfiler`] the instrumentation (including every
-    /// clock read) compiles away.
-    pub fn step_profiled<S: TraceSink, P: PhaseProfiler>(
-        &mut self,
-        topo: &Topology,
-        now: u64,
-        sink: &mut S,
-        prof: &mut P,
-    ) -> RouterOutputs {
         let mut out = RouterOutputs::default();
-        self.step_into(topo, now, &mut out, sink, prof);
+        self.step_into(topo, now, &mut out, &mut NopSink, &mut NopProfiler);
         out
     }
 

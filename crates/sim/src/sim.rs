@@ -1,14 +1,16 @@
-//! Simulation drivers: single runs, latency-vs-injection-rate curves
+//! Running simulations: the [`Run`] builder (every engine, every
+//! observer, one or more seeds), latency-vs-injection-rate curves
 //! (Figures 13/14) and saturation-rate extraction.
 
 use crate::config::SimConfig;
 use crate::network::Network;
 use crate::router::RouterStats;
 use crate::steady;
+use crate::verify::{InvariantChecker, NopChecker, StrictChecker, VerifyReport};
 use noc_obs::{
     percentile_table_json, AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue,
-    MetricsRegistry, Profiler, RouterBreakdown, RouterObs, TelemetrySummary, TraceSink,
-    WindowSnapshot, DEFAULT_QUANTILES,
+    MetricsRegistry, NopProfiler, NopSink, PhaseProfiler, Profiler, RouterBreakdown, RouterObs,
+    TelemetrySummary, TraceSink, WindowSnapshot, DEFAULT_QUANTILES,
 };
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -41,15 +43,14 @@ pub struct SimResult {
     /// [`LATENCY_CAP`] and no unbounded source backlog).
     pub stable: bool,
     /// Half-width of the 95% confidence interval on `avg_latency` — from
-    /// replicate means ([`run_sim_replicated`]) or batch means over the
-    /// latency timeline ([`run_sim_auto`]); NaN for plain single runs,
+    /// replicate means ([`Run::seeds`]) or batch means over the latency
+    /// timeline ([`Run::auto`] with one seed); NaN for plain single runs,
     /// which carry no interval estimate.
     pub ci95: f64,
     /// Independent seeds aggregated into this result (1 for single runs).
     pub seeds: usize,
-    /// Warmup cycle count chosen by MSER steady-state detection, when a
-    /// driver detected it ([`run_sim_auto`] / [`run_sim_replicated`]);
-    /// `None` when the warmup was fixed by the caller.
+    /// Warmup cycle count chosen by MSER steady-state detection, for
+    /// [`Run::auto`] runs; `None` when the warmup was fixed by the caller.
     pub warmup_detected: Option<u64>,
     /// Whole-run telemetry summary (per-window matching efficiency, flit
     /// motion and in-flight series), when the run had the flight recorder
@@ -362,94 +363,335 @@ impl Engine {
 
     /// Drives `net` for `cycles` cycles on this engine.
     pub fn run<S: TraceSink>(self, net: &mut Network<S>, cycles: u64) {
+        self.run_observed(net, cycles, &mut NopProfiler, &mut NopChecker);
+    }
+
+    /// As [`Engine::run`], with a phase profiler and an invariant checker
+    /// attached. Both observe from inside the routers, so while either is
+    /// active the parallel engine computes routers in router-id order on
+    /// this thread — as it already does for an active trace sink — and
+    /// results, traces and dumps stay byte-identical across engines.
+    fn run_observed<S: TraceSink, P: PhaseProfiler, K: InvariantChecker>(
+        self,
+        net: &mut Network<S>,
+        cycles: u64,
+        prof: &mut P,
+        chk: &mut K,
+    ) {
         match self {
-            Engine::Sequential => net.run(cycles),
-            Engine::Parallel(_) => net.run_parallel(cycles, self.threads()),
-            Engine::ActiveSet => net.run_active(cycles),
+            Engine::ActiveSet => net.run_in_order::<P, K, true>(cycles, prof, chk),
+            Engine::Parallel(_) if !P::ACTIVE && !K::ACTIVE => {
+                net.run_parallel(cycles, self.threads())
+            }
+            _ => net.run_in_order::<P, K, false>(cycles, prof, chk),
         }
     }
 }
 
-/// As [`run_sim`], but driving the cycle loop with the chosen [`Engine`].
-/// The result is bit-identical across engines.
+/// A plain run of `cfg` on `engine`: `warmup` cycles to reach steady
+/// state, then a `measure`-cycle window. The result is bit-identical
+/// across engines. Shorthand for
+/// `Run::new(cfg, warmup, measure).engine(engine).go()`.
 pub fn run_sim_engine(cfg: &SimConfig, warmup: u64, measure: u64, engine: Engine) -> SimResult {
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, warmup + measure);
-    engine.run(&mut net, warmup + measure);
-    summarize(&net)
-}
-
-/// As [`run_sim_engine`], with the per-packet latency ledger on: every
-/// router stamps its waiting heads each cycle and ejections fold into the
-/// returned [`AnatomyCollector`] (`capacity` per-packet rows retained,
-/// `top_k` slowest waterfalls kept). The ledger is a pure observer — the
-/// [`SimResult`] is bit-identical to the plain run's — and the fold order
-/// is engine-invariant, so collector dumps are byte-identical across
-/// engines.
-pub fn run_sim_anatomy(
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    engine: Engine,
-    capacity: usize,
-    top_k: usize,
-) -> (SimResult, AnatomyCollector) {
-    let mut net = Network::new(cfg.clone());
-    net.enable_anatomy(capacity, top_k);
-    net.stats.set_window(warmup, warmup + measure);
-    engine.run(&mut net, warmup + measure);
-    let result = summarize(&net);
-    let collector = net
-        .anatomy
-        .take()
-        .unwrap_or_else(|| AnatomyCollector::new(capacity, top_k));
-    (result, collector)
-}
-
-/// Everything produced by an observed run: the summary, the sink with its
-/// recorded events, the sampled time series, and each router's counters.
-pub struct ObservedRun<S: TraceSink> {
-    /// Standard run summary.
-    pub result: SimResult,
-    /// The trace sink, with whatever it recorded.
-    pub sink: S,
-    /// Sampled time series, if sampling was enabled.
-    pub metrics: Option<MetricsRegistry>,
-    /// Per-router observability counters.
-    pub router_obs: Vec<RouterObs>,
-}
-
-/// Runs one simulation: `warmup` cycles to reach steady state, then a
-/// `measure`-cycle window.
-pub fn run_sim(cfg: &SimConfig, warmup: u64, measure: u64) -> SimResult {
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, warmup + measure);
-    net.run(warmup + measure);
-    summarize(&net)
-}
-
-/// As [`run_sim`], but reporting flit events to `sink` and, when
-/// `sample_interval` is set, collecting the occupancy/utilization time
-/// series.
-pub fn run_sim_observed<S: TraceSink>(
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    sink: S,
-    sample_interval: Option<u64>,
-) -> ObservedRun<S> {
-    let mut net = Network::with_sink(cfg.clone(), sink);
-    if let Some(interval) = sample_interval {
-        net.enable_metrics(interval);
+    match Run::new(cfg, warmup, measure).engine(engine).go() {
+        Ok(out) => out.result,
+        Err(trip) => unreachable!(
+            "a run without telemetry has no watchdog: {}",
+            trip.describe()
+        ),
     }
-    net.stats.set_window(warmup, warmup + measure);
-    net.run(warmup + measure);
-    let result = summarize(&net);
-    ObservedRun {
-        result,
-        router_obs: net.router_obs(),
-        metrics: net.metrics,
-        sink: net.sink,
+}
+
+/// A [`Run::on_window`] callback.
+type WindowHook<'a> = Box<dyn FnMut(&WindowSnapshot) + 'a>;
+
+/// One simulation run: any engine, any mix of observers, one or more
+/// seeds.
+///
+/// Built from a window ([`Run::new`] or [`Run::auto`]) and the setters
+/// below, then executed by [`Run::go`]. Every observer is a pure observer:
+/// the [`SimResult`] is bit-identical to the plain run's on every engine,
+/// apart from the `telemetry` block that recording adds.
+///
+/// ```
+/// use noc_sim::{Engine, Run, SimConfig, TopologyKind};
+///
+/// let cfg = SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1);
+/// let out = Run::new(&cfg, 200, 400)
+///     .engine(Engine::ActiveSet)
+///     .anatomy(1 << 10, 2)
+///     .verify()
+///     .go()
+///     .expect("a run without telemetry cannot trip the watchdog");
+/// assert!(out.verify.is_some_and(|rep| rep.passed()));
+/// assert!(out.anatomy.is_some());
+/// ```
+pub struct Run<'a, S: TraceSink = NopSink> {
+    cfg: &'a SimConfig,
+    /// Cycles before the measurement window; `None` lets a pilot run
+    /// pick them (MSER truncation).
+    warmup: Option<u64>,
+    total: u64,
+    engine: Engine,
+    seeds: usize,
+    sink: S,
+    metrics: Option<u64>,
+    telemetry: Option<TelemetryOptions>,
+    on_window: Option<WindowHook<'a>>,
+    anatomy: Option<(usize, usize)>,
+    profile: bool,
+    verify: bool,
+}
+
+/// What a [`Run`] produced: the summary plus each artifact that was asked
+/// for (`None` for the rest).
+pub struct RunOutput {
+    /// Standard run summary (aggregated over replicates for several seeds).
+    pub result: SimResult,
+    /// Per-router observability counters of the base-seed replicate.
+    pub router_obs: Vec<RouterObs>,
+    /// Sampled time series ([`Run::metrics`]).
+    pub metrics: Option<MetricsRegistry>,
+    /// The flight recorder ([`Run::telemetry`]).
+    pub telemetry: Option<FlightRecorder>,
+    /// The per-packet latency ledger ([`Run::anatomy`]).
+    pub anatomy: Option<AnatomyCollector>,
+    /// Per-phase wall time, stamped with the run's cycles and wall time
+    /// ([`Run::profile`]).
+    pub profile: Option<Profiler>,
+    /// The invariant checker's report ([`Run::verify`]).
+    pub verify: Option<VerifyReport>,
+}
+
+impl<'a> Run<'a> {
+    /// A run of `warmup` cycles to reach steady state, then a
+    /// `measure`-cycle window, on the sequential engine with one seed and
+    /// no observers.
+    pub fn new(cfg: &'a SimConfig, warmup: u64, measure: u64) -> Run<'a> {
+        Run::with_window(cfg, Some(warmup), warmup + measure)
+    }
+
+    /// A run of `total` cycles with automatic steady-state detection: a
+    /// pilot run finds the initialization transient (MSER over windowed
+    /// latency means), then the run measures only `[warmup, total)`. The
+    /// result carries the detected warmup and, with one seed, a
+    /// batch-means 95% confidence interval on the mean latency.
+    pub fn auto(cfg: &'a SimConfig, total: u64) -> Run<'a> {
+        Run::with_window(cfg, None, total)
+    }
+
+    fn with_window(cfg: &'a SimConfig, warmup: Option<u64>, total: u64) -> Run<'a> {
+        Run {
+            cfg,
+            warmup,
+            total,
+            engine: Engine::Sequential,
+            seeds: 1,
+            sink: NopSink,
+            metrics: None,
+            telemetry: None,
+            on_window: None,
+            anatomy: None,
+            profile: false,
+            verify: false,
+        }
+    }
+}
+
+impl<'a, S: TraceSink> Run<'a, S> {
+    /// Drives the cycle loop with `engine` (default sequential).
+    pub fn engine(mut self, engine: Engine) -> Self {
+        self.engine = engine;
+        self
+    }
+
+    /// Replicates the run over `n` seeds: `cfg.seed, cfg.seed+1, ...`, so
+    /// an `n`-seed run nests inside an `m`-seed run for `n < m`. Latency
+    /// metrics are averaged across replicates (mean of means) with a
+    /// Student-t 95% confidence interval; histograms are merged, so
+    /// percentiles reflect the pooled distribution; router counters are
+    /// summed; the run is stable only if every replicate was. Observers
+    /// attach to the base-seed replicate only — the run the caller gets
+    /// with one seed — while the others run alongside on the same engine.
+    pub fn seeds(mut self, n: usize) -> Self {
+        self.seeds = n.max(1);
+        self
+    }
+
+    /// Reports every flit event to `sink`, which the caller reads after
+    /// [`Run::go`].
+    pub fn sink<T: TraceSink>(self, sink: &'a mut T) -> Run<'a, &'a mut T> {
+        Run {
+            cfg: self.cfg,
+            warmup: self.warmup,
+            total: self.total,
+            engine: self.engine,
+            seeds: self.seeds,
+            sink,
+            metrics: self.metrics,
+            telemetry: self.telemetry,
+            on_window: self.on_window,
+            anatomy: self.anatomy,
+            profile: self.profile,
+            verify: self.verify,
+        }
+    }
+
+    /// Samples the occupancy/utilization time series every
+    /// `sample_interval` cycles.
+    pub fn metrics(mut self, sample_interval: u64) -> Self {
+        self.metrics = Some(sample_interval);
+        self
+    }
+
+    /// Turns the flight recorder on. The engine then runs in window-sized
+    /// chunks (chunking is cycle-exact on every engine), and the stall
+    /// watchdog, if set, is checked between chunks.
+    pub fn telemetry(mut self, opts: TelemetryOptions) -> Self {
+        self.telemetry = Some(opts);
+        self
+    }
+
+    /// Calls `f` with each telemetry window's snapshot as the window
+    /// closes (the live `noc top` / `--record` streaming hook). Needs
+    /// [`Run::telemetry`].
+    pub fn on_window(mut self, f: impl FnMut(&WindowSnapshot) + 'a) -> Self {
+        self.on_window = Some(Box::new(f));
+        self
+    }
+
+    /// Turns the per-packet latency ledger on: every router stamps its
+    /// waiting heads each cycle and ejections fold into the collector
+    /// (`capacity` per-packet rows retained, `top_k` slowest waterfalls
+    /// kept). The fold order is engine-invariant, so dumps are
+    /// byte-identical across engines.
+    pub fn anatomy(mut self, capacity: usize, top_k: usize) -> Self {
+        self.anatomy = Some((capacity, top_k));
+        self
+    }
+
+    /// Attributes wall time and event counts to the router pipeline
+    /// phases.
+    pub fn profile(mut self) -> Self {
+        self.profile = true;
+        self
+    }
+
+    /// Runs the invariant checker on every cycle: matching legality,
+    /// credit conservation, no flit without a VC.
+    pub fn verify(mut self) -> Self {
+        self.verify = true;
+        self
+    }
+
+    /// Executes the run. Returns the summary plus every artifact asked
+    /// for, or the [`WatchdogTrip`] if the base-seed replicate stopped
+    /// moving.
+    pub fn go(self) -> Result<RunOutput, Box<WatchdogTrip>> {
+        let (cfg, engine, n, total) = (self.cfg, self.engine, self.seeds, self.total);
+        let warmup = self
+            .warmup
+            .unwrap_or_else(|| detect_warmup(cfg, total, engine));
+        let detected = self.warmup.is_none().then_some(warmup);
+        if n == 1 {
+            return self.observe(warmup, detected);
+        }
+        std::thread::scope(|s| {
+            let others = s.spawn(|| {
+                run_many(n - 1, |i| {
+                    let mut net = Network::new(SimConfig {
+                        seed: cfg.seed.wrapping_add(i as u64 + 1),
+                        ..cfg.clone()
+                    });
+                    net.stats.set_window(warmup, total);
+                    engine.run(&mut net, total);
+                    summarize(&net)
+                })
+            });
+            let base = self.observe(warmup, detected);
+            let others = others
+                .join()
+                .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+            let mut out = base?;
+            out.result = aggregate(cfg, out.result, others, detected);
+            Ok(out)
+        })
+    }
+
+    /// Runs the base-seed replicate with every observer attached.
+    fn observe(self, warmup: u64, detected: Option<u64>) -> Result<RunOutput, Box<WatchdogTrip>> {
+        let total = self.total;
+        let mut net = Network::with_sink(self.cfg.clone(), self.sink);
+        if let Some(interval) = self.metrics {
+            net.enable_metrics(interval);
+        }
+        if let Some(t) = &self.telemetry {
+            net.enable_telemetry(t.window, t.capacity, t.matching_period());
+        }
+        if let Some((capacity, top_k)) = self.anatomy {
+            net.enable_anatomy(capacity, top_k);
+        }
+        if detected.is_some() {
+            net.stats.enable_timeline(timeline_window_for(total));
+        }
+        net.stats.set_window(warmup, total);
+        let engine = self.engine;
+        let watchdog = self.telemetry.and_then(|t| t.watchdog);
+        let chunk = self.telemetry.map_or(total, |t| t.window);
+        let mut on_window = self.on_window;
+        let mut prof = self.profile.then(Profiler::default);
+        let mut chk = self.verify.then(StrictChecker::default);
+        let mut done = 0u64;
+        while done < total {
+            let cycles = chunk.min(total - done);
+            let start = prof.is_some().then(Instant::now);
+            match (&mut prof, &mut chk) {
+                (None, None) => engine.run(&mut net, cycles),
+                (Some(p), None) => engine.run_observed(&mut net, cycles, p, &mut NopChecker),
+                (None, Some(k)) => engine.run_observed(&mut net, cycles, &mut NopProfiler, k),
+                (Some(p), Some(k)) => engine.run_observed(&mut net, cycles, p, k),
+            }
+            if let (Some(p), Some(t)) = (&mut prof, start) {
+                p.wall_nanos += t.elapsed().as_nanos() as u64;
+            }
+            done += cycles;
+            let Some(rec) = &net.telemetry else {
+                continue;
+            };
+            if let Some(snap) = rec.latest().filter(|snap| snap.cycle == done) {
+                if let Some(f) = &mut on_window {
+                    f(snap);
+                }
+            }
+            let stalled = rec.stalled_windows();
+            if watchdog.is_some_and(|threshold| stalled >= threshold) {
+                let in_flight = rec.latest().map_or(0, |snap| snap.in_flight);
+                let (cycle, window) = (net.now, rec.window());
+                if let Some(recorder) = net.telemetry.take() {
+                    return Err(Box::new(WatchdogTrip {
+                        cycle,
+                        stalled_windows: stalled,
+                        window,
+                        in_flight,
+                        recorder,
+                    }));
+                }
+            }
+        }
+        let mut result = summarize(&net);
+        result.warmup_detected = detected;
+        if let Some(p) = &mut prof {
+            p.cycles = total;
+        }
+        Ok(RunOutput {
+            result,
+            router_obs: net.router_obs(),
+            metrics: net.metrics.take(),
+            telemetry: net.telemetry.take(),
+            anatomy: net.anatomy.take(),
+            profile: prof,
+            verify: chk.map(StrictChecker::into_report),
+        })
     }
 }
 
@@ -500,7 +742,7 @@ pub fn summarize<S: TraceSink>(net: &Network<S>) -> SimResult {
 }
 
 /// Flight-recorder configuration for a recorded run
-/// ([`run_sim_recorded`]).
+/// ([`Run::telemetry`]).
 #[derive(Clone, Copy, Debug)]
 pub struct TelemetryOptions {
     /// Telemetry window length in cycles.
@@ -580,76 +822,6 @@ impl WatchdogTrip {
     }
 }
 
-/// As [`run_sim_engine`], with the flight recorder on: drives the engine
-/// in window-sized chunks (chunking is cycle-exact on every engine),
-/// invokes `on_window` with each snapshot as its window closes (the live
-/// `noc top` / `--record` streaming hook), and checks the stall watchdog
-/// between chunks. Returns the summary (with its `telemetry` block) plus
-/// the recorder, or the [`WatchdogTrip`] if the network stopped moving.
-pub fn run_sim_recorded_with(
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    engine: Engine,
-    opts: TelemetryOptions,
-    mut on_window: impl FnMut(&WindowSnapshot),
-) -> Result<(SimResult, FlightRecorder), Box<WatchdogTrip>> {
-    let mut net = Network::new(cfg.clone());
-    net.enable_telemetry(opts.window, opts.capacity, opts.matching_period());
-    net.stats.set_window(warmup, warmup + measure);
-    let total = warmup + measure;
-    let mut done = 0u64;
-    while done < total {
-        let chunk = opts.window.min(total - done);
-        engine.run(&mut net, chunk);
-        done += chunk;
-        // The recorder was installed by enable_telemetry above; an `if let`
-        // keeps the hot path free of unwrap machinery.
-        let Some(rec) = net.telemetry.as_ref() else {
-            break;
-        };
-        if let Some(snap) = rec.latest() {
-            if snap.cycle == done {
-                on_window(snap);
-            }
-        }
-        if let Some(threshold) = opts.watchdog {
-            let stalled = rec.stalled_windows();
-            if stalled >= threshold {
-                let in_flight = rec.latest().map_or(0, |s| s.in_flight);
-                let recorder = net
-                    .telemetry
-                    .take()
-                    .unwrap_or_else(|| FlightRecorder::new(opts.window, opts.capacity));
-                return Err(Box::new(WatchdogTrip {
-                    cycle: net.now,
-                    stalled_windows: stalled,
-                    window: opts.window,
-                    in_flight,
-                    recorder,
-                }));
-            }
-        }
-    }
-    let result = summarize(&net);
-    let recorder = net
-        .telemetry
-        .take()
-        .unwrap_or_else(|| FlightRecorder::new(opts.window, opts.capacity));
-    Ok((result, recorder))
-}
-
-/// [`run_sim_recorded_with`] without a per-window callback.
-pub fn run_sim_recorded(
-    cfg: &SimConfig,
-    warmup: u64,
-    measure: u64,
-    engine: Engine,
-    opts: TelemetryOptions,
-) -> Result<(SimResult, FlightRecorder), Box<WatchdogTrip>> {
-    run_sim_recorded_with(cfg, warmup, measure, engine, opts, |_| {})
-}
-
 /// Default warmup/measurement lengths used by the figure benches.
 pub const DEFAULT_WARMUP: u64 = 5_000;
 /// Default measurement window.
@@ -668,7 +840,7 @@ fn timeline_window_for(total: u64) -> u64 {
 /// Runs `jobs` independent closures on a bounded worker pool (at most
 /// [`std::thread::available_parallelism`] OS threads) and collects their
 /// results in index order. Shared by [`latency_curve`] and
-/// [`run_sim_replicated`]; previously every job spawned its own thread,
+/// [`Run::seeds`]; previously every job spawned its own thread,
 /// which oversubscribed small CI machines on wide sweeps.
 ///
 /// A panicking job aborts the pool and re-raises the panic on the calling
@@ -739,13 +911,18 @@ where
 /// Runs one simulation per injection rate, in parallel on a bounded
 /// worker pool (each run is independent and deterministic).
 pub fn latency_curve(base: &SimConfig, rates: &[f64], warmup: u64, measure: u64) -> Vec<SimResult> {
-    latency_curve_with(base, rates, warmup, measure, &|c, w, m| run_sim(c, w, m))
+    latency_curve_with(base, rates, warmup, measure, &sequential)
+}
+
+/// A plain sequential-engine run: the point runner of [`latency_curve`]
+/// and [`saturation_rate`].
+fn sequential(cfg: &SimConfig, warmup: u64, measure: u64) -> SimResult {
+    run_sim_engine(cfg, warmup, measure, Engine::Sequential)
 }
 
 /// As [`latency_curve`], but every point is produced by `run` instead of
-/// [`run_sim`] directly. A cache-backed runner (the sweep orchestrator's)
-/// plugs in here to make curve computation resumable; passing a plain
-/// `run_sim` closure reproduces [`latency_curve`] exactly.
+/// a plain sequential run. A cache-backed runner (the sweep
+/// orchestrator's) plugs in here to make curve computation resumable.
 pub fn latency_curve_with<F>(
     base: &SimConfig,
     rates: &[f64],
@@ -766,57 +943,33 @@ where
 }
 
 /// Detects the warmup transient of `cfg` with a pilot run of `total`
-/// cycles: the run records a latency timeline, and MSER truncation picks
-/// the first window of the steady state. Returns the warmup in cycles
-/// (a multiple of the timeline window).
-fn detect_warmup(cfg: &SimConfig, total: u64) -> u64 {
+/// cycles on `engine`: the run records a latency timeline, and MSER
+/// truncation picks the first window of the steady state. Returns the
+/// warmup in cycles (a multiple of the timeline window).
+fn detect_warmup(cfg: &SimConfig, total: u64, engine: Engine) -> u64 {
     let window = timeline_window_for(total);
     let mut pilot = Network::new(cfg.clone());
     pilot.stats.set_window(0, total);
     pilot.stats.enable_timeline(window);
-    pilot.run(total);
+    engine.run(&mut pilot, total);
     steady::mser_truncation(&pilot.stats.timeline_means()) as u64 * window
 }
 
-/// Runs one simulation of `total` cycles with automatic steady-state
-/// detection: a pilot run finds the initialization transient (MSER over
-/// windowed latency means), then a second run measures only
-/// `[warmup, total)`. The result carries the detected warmup and a
-/// batch-means 95% confidence interval on the mean latency.
-pub fn run_sim_auto(cfg: &SimConfig, total: u64) -> SimResult {
-    let warmup = detect_warmup(cfg, total);
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, total);
-    net.stats.enable_timeline(timeline_window_for(total));
-    net.run(total);
-    let mut res = summarize(&net);
-    res.warmup_detected = Some(warmup);
-    res
-}
-
-/// Runs `n_seeds` independent replications of `cfg` (seeds
-/// `cfg.seed, cfg.seed+1, ...`, so an `n`-seed run nests inside an
-/// `m`-seed run for `n < m`), each measuring `[warmup, total)` with the
-/// warmup detected once by a pilot run. Latency-style metrics are
-/// averaged across replicates (mean of means) with a Student-t 95%
-/// confidence interval; histograms are merged, so percentiles reflect
-/// the pooled latency distribution; router counters are summed; the run
-/// is stable only if every replicate was.
-pub fn run_sim_replicated(cfg: &SimConfig, total: u64, n_seeds: usize) -> SimResult {
-    let n = n_seeds.max(1);
-    let warmup = detect_warmup(cfg, total);
-    let runs = run_many(n, |i| {
-        let cfg_i = SimConfig {
-            seed: cfg.seed.wrapping_add(i as u64),
-            ..cfg.clone()
-        };
-        let mut net = Network::new(cfg_i);
-        net.stats.set_window(warmup, total);
-        net.run(total);
-        summarize(&net)
-    });
+/// Folds the base-seed result and the other replicates' into one (see
+/// [`Run::seeds`]).
+fn aggregate(
+    cfg: &SimConfig,
+    base: SimResult,
+    others: Vec<SimResult>,
+    detected: Option<u64>,
+) -> SimResult {
+    let runs: Vec<&SimResult> = std::iter::once(&base).chain(&others).collect();
     let mean_of = |get: fn(&SimResult) -> f64| {
-        let xs: Vec<f64> = runs.iter().map(get).filter(|x| x.is_finite()).collect();
+        let xs: Vec<f64> = runs
+            .iter()
+            .map(|r| get(r))
+            .filter(|x| x.is_finite())
+            .collect();
         if xs.is_empty() {
             f64::NAN
         } else {
@@ -846,35 +999,14 @@ pub fn run_sim_replicated(cfg: &SimConfig, total: u64, n_seeds: usize) -> SimRes
         throughput: mean_of(|r| r.throughput),
         stable: runs.iter().all(|r| r.stable),
         ci95: steady::ci95_half_width(&rep_means),
-        seeds: n,
-        warmup_detected: Some(warmup),
-        telemetry: None,
+        seeds: runs.len(),
+        warmup_detected: detected,
         hist,
         router_stats,
-        routers: runs
-            .into_iter()
-            .next()
-            .map(|r| r.routers)
-            .unwrap_or_default(),
+        // Per-router rows and the telemetry summary come from the base
+        // replicate, the one the observers watched.
+        ..base
     }
-}
-
-/// Runs one simulation with phase profiling on: the returned [`Profiler`]
-/// attributes wall time and event counts to the router pipeline phases
-/// and is stamped with the run's totals, so shares and cycles/sec are
-/// ready to read. The [`SimResult`] is identical to [`run_sim`]'s (the
-/// profiled path executes the same cycle-level logic).
-pub fn run_sim_profiled(cfg: &SimConfig, warmup: u64, measure: u64) -> (SimResult, Profiler) {
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, warmup + measure);
-    let mut prof = Profiler::default();
-    let start = Instant::now();
-    for _ in 0..warmup + measure {
-        net.step_profiled(&mut prof);
-    }
-    prof.wall_nanos = start.elapsed().as_nanos() as u64;
-    prof.cycles = warmup + measure;
-    (summarize(&net), prof)
 }
 
 /// Measures the zero-load latency: the average packet latency at a very
@@ -884,13 +1016,13 @@ pub fn zero_load_latency(base: &SimConfig) -> f64 {
         injection_rate: 0.01,
         ..base.clone()
     };
-    run_sim(&cfg, 2_000, 12_000).avg_latency
+    sequential(&cfg, 2_000, 12_000).avg_latency
 }
 
 /// Finds the saturation rate by bisection: the highest offered load the
 /// network sustains with bounded latency and backlog.
 pub fn saturation_rate(base: &SimConfig, warmup: u64, measure: u64) -> f64 {
-    saturation_rate_with(base, warmup, measure, &|c, w, m| run_sim(c, w, m))
+    saturation_rate_with(base, warmup, measure, &sequential)
 }
 
 /// As [`saturation_rate`], with every probe run produced by `run` — the
@@ -935,13 +1067,34 @@ mod tests {
     use super::*;
     use crate::topology::TopologyKind;
 
+    /// A 500 + 1500-cycle run of `cfg` with the latency ledger attached.
+    fn anatomy_run(cfg: &SimConfig, engine: Engine, top_k: usize) -> (SimResult, AnatomyCollector) {
+        let out = Run::new(cfg, 500, 1_500)
+            .engine(engine)
+            .anatomy(1 << 16, top_k)
+            .go()
+            .expect("no telemetry, no trip");
+        (out.result, out.anatomy.expect("ledger attached"))
+    }
+
+    /// A recorded run of `cfg` on the sequential engine.
+    fn recorded(
+        cfg: &SimConfig,
+        warmup: u64,
+        measure: u64,
+        opts: TelemetryOptions,
+    ) -> Result<(SimResult, FlightRecorder), Box<WatchdogTrip>> {
+        let out = Run::new(cfg, warmup, measure).telemetry(opts).go()?;
+        Ok((out.result, out.telemetry.expect("recorder attached")))
+    }
+
     #[test]
     fn low_load_runs_are_stable() {
         let cfg = SimConfig {
             injection_rate: 0.05,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
         };
-        let r = run_sim(&cfg, 1_000, 3_000);
+        let r = run_sim_engine(&cfg, 1_000, 3_000, Engine::Sequential);
         assert!(r.stable);
         assert!(r.avg_latency.is_finite());
         assert!(r.throughput > 0.03, "throughput {}", r.throughput);
@@ -953,7 +1106,7 @@ mod tests {
             injection_rate: 0.95,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
         };
-        let r = run_sim(&cfg, 1_000, 3_000);
+        let r = run_sim_engine(&cfg, 1_000, 3_000, Engine::Sequential);
         assert!(!r.stable, "0.95 flits/cycle cannot be stable on a mesh");
     }
 
@@ -970,7 +1123,7 @@ mod tests {
             injection_rate: 0.2,
             ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2)
         };
-        let r = run_sim(&base, 2_000, 6_000);
+        let r = run_sim_engine(&base, 2_000, 6_000, Engine::Sequential);
         assert!(r.stable);
         assert!(
             (r.throughput - 0.2).abs() < 0.02,
@@ -1032,7 +1185,7 @@ mod tests {
             injection_rate: 0.12,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
-        let r = run_sim(&cfg, 500, 1_500);
+        let r = run_sim_engine(&cfg, 500, 1_500, Engine::Sequential);
         let full = r.to_json_full();
         let back = SimResult::from_json(&full).expect("round-trip parse");
         // Bit-exact re-serialization: every float (shortest-roundtrip
@@ -1050,10 +1203,11 @@ mod tests {
         assert!(SimResult::from_json("not json").is_err());
         // A plain (non-full) record has no histogram and must be refused
         // rather than silently reconstructed with an empty one.
-        let r = run_sim(
+        let r = run_sim_engine(
             &SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1),
             200,
             500,
+            Engine::Sequential,
         );
         assert!(SimResult::from_json(&r.to_json()).is_err());
     }
@@ -1066,15 +1220,12 @@ mod tests {
         };
         let plain = run_sim_engine(&cfg, 500, 1_500, Engine::Sequential);
         let mut windows_seen = 0u64;
-        let (rec_res, rec) = run_sim_recorded_with(
-            &cfg,
-            500,
-            1_500,
-            Engine::Sequential,
-            TelemetryOptions::recording(),
-            |_| windows_seen += 1,
-        )
-        .expect("healthy run must not trip the watchdog");
+        let out = Run::new(&cfg, 500, 1_500)
+            .telemetry(TelemetryOptions::recording())
+            .on_window(|_| windows_seen += 1)
+            .go()
+            .expect("healthy run must not trip the watchdog");
+        let (rec_res, rec) = (out.result, out.telemetry.expect("recorder attached"));
         // Telemetry must be a pure observer: every simulation metric is
         // identical to the unrecorded run.
         assert_eq!(rec_res.avg_latency.to_bits(), plain.avg_latency.to_bits());
@@ -1102,8 +1253,13 @@ mod tests {
         };
         let opts = TelemetryOptions::recording();
         let run = |engine| {
-            let (res, rec) = run_sim_recorded(&cfg, 500, 1_500, engine, opts).expect("no trip");
-            (res.to_json(), rec.summary().to_json())
+            let out = Run::new(&cfg, 500, 1_500)
+                .engine(engine)
+                .telemetry(opts)
+                .go()
+                .expect("no trip");
+            let rec = out.telemetry.expect("recorder attached");
+            (out.result.to_json(), rec.summary().to_json())
         };
         let seq = run(Engine::Sequential);
         assert_eq!(seq, run(Engine::Parallel(4)));
@@ -1117,7 +1273,7 @@ mod tests {
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
         let plain = run_sim_engine(&cfg, 500, 1_500, Engine::Sequential);
-        let (res, col) = run_sim_anatomy(&cfg, 500, 1_500, Engine::Sequential, 1 << 16, 4);
+        let (res, col) = anatomy_run(&cfg, Engine::Sequential, 4);
         // Every simulation metric must be bit-identical to the plain run.
         assert_eq!(res.avg_latency.to_bits(), plain.avg_latency.to_bits());
         assert_eq!(res.throughput.to_bits(), plain.throughput.to_bits());
@@ -1132,7 +1288,7 @@ mod tests {
             injection_rate: 0.2,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
-        let (res, col) = run_sim_anatomy(&cfg, 500, 1_500, Engine::Sequential, 1 << 16, 8);
+        let (res, col) = anatomy_run(&cfg, Engine::Sequential, 8);
         assert!(col.totals.packets > 100, "window too thin to be meaningful");
         assert_eq!(col.totals.dropped, 0);
         assert_eq!(col.records.len() as u64, col.totals.packets);
@@ -1174,7 +1330,7 @@ mod tests {
             top_k: 4,
         };
         let run = |engine| {
-            let (res, col) = run_sim_anatomy(&cfg, 500, 1_500, engine, 1 << 16, 4);
+            let (res, col) = anatomy_run(&cfg, engine, 4);
             (res.to_json(), col.to_jsonl(&header))
         };
         let seq = run(Engine::Sequential);
@@ -1197,8 +1353,8 @@ mod tests {
             watchdog: Some(10),
             ..TelemetryOptions::recording()
         };
-        let trip = run_sim_recorded(&cfg, 5_000, 45_000, Engine::Sequential, opts)
-            .expect_err("no-dateline torus must deadlock");
+        let trip =
+            recorded(&cfg, 5_000, 45_000, opts).expect_err("no-dateline torus must deadlock");
         assert_eq!(trip.stalled_windows, 10);
         assert!(trip.in_flight > 0, "a stall needs stuck flits");
         assert!(
@@ -1220,10 +1376,59 @@ mod tests {
             watchdog: Some(10),
             ..TelemetryOptions::recording()
         };
-        let (res, rec) =
-            run_sim_recorded(&cfg, 2_000, 8_000, Engine::Sequential, opts).expect("no trip");
+        let (res, rec) = recorded(&cfg, 2_000, 8_000, opts).expect("no trip");
         assert!(res.throughput > 0.0);
         assert_eq!(rec.max_stalled_windows(), 0);
+    }
+
+    #[test]
+    fn replicated_runs_attach_observers_to_the_base_seed() {
+        let cfg = SimConfig {
+            injection_rate: 0.1,
+            ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
+        };
+        let (single, col) = anatomy_run(&cfg, Engine::Sequential, 4);
+        let out = Run::new(&cfg, 500, 1_500)
+            .engine(Engine::ActiveSet)
+            .seeds(3)
+            .anatomy(1 << 16, 4)
+            .go()
+            .expect("no telemetry, no trip");
+        assert_eq!(out.result.seeds, 3);
+        assert_eq!(out.result.warmup_detected, None, "fixed window");
+        assert!(out.result.ci95.is_finite());
+        let base = out.anatomy.expect("ledger attached");
+        assert_eq!(base.summary().to_json(), col.summary().to_json());
+        let rows = |r: &SimResult| format!("{:?}", r.routers);
+        assert_eq!(
+            rows(&out.result),
+            rows(&single),
+            "per-router rows are the base seed's"
+        );
+    }
+
+    #[test]
+    fn profiles_count_the_same_events_on_every_engine() {
+        let cfg = SimConfig {
+            injection_rate: 0.2,
+            ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
+        };
+        let events = |engine| {
+            let out = Run::new(&cfg, 200, 600)
+                .engine(engine)
+                .profile()
+                .go()
+                .expect("no telemetry, no trip");
+            let prof = out.profile.expect("profiler attached");
+            assert_eq!(prof.cycles, 800);
+            assert!(prof.wall_nanos > 0);
+            (out.result.to_json(), prof.phase_events)
+        };
+        let seq = events(Engine::Sequential);
+        // par computes routers in order while profiling: same counts.
+        assert_eq!(seq, events(Engine::Parallel(4)));
+        // active skips idle routers, which record no events anyway.
+        assert_eq!(seq, events(Engine::ActiveSet));
     }
 
     #[test]

@@ -3,8 +3,8 @@
 //! The same const-`ACTIVE` pattern as `TraceSink` / `PhaseProfiler`: the
 //! network's step loop is generic over an [`InvariantChecker`], and with the
 //! default [`NopChecker`] every check (including the per-channel credit
-//! audit) compiles away entirely. `noc sim --verify` runs with
-//! [`StrictChecker`] instead and reports:
+//! audit) compiles away entirely. `noc sim --verify` (`Run::verify`) runs
+//! with [`StrictChecker`] instead and reports:
 //!
 //! * **matching legality** — every cycle, at most one switch grant per
 //!   input port and per output port, each grant backed by an output VC,
@@ -19,11 +19,6 @@
 //! Debug builds additionally run the router-local checks inside
 //! `debug_assert`-gated code on the ordinary step path, so the whole test
 //! suite exercises them for free.
-
-use crate::config::SimConfig;
-use crate::network::Network;
-use crate::sim::{summarize, SimResult};
-use noc_obs::NopProfiler;
 
 /// Per-cycle invariant sink. `ACTIVE = false` implementations compile all
 /// checking away.
@@ -111,22 +106,20 @@ impl VerifyReport {
     }
 }
 
-/// As `run_sim`, but with the runtime invariant checker enabled on every
-/// cycle. Returns the ordinary result plus the verification report.
-pub fn run_sim_verified(cfg: &SimConfig, warmup: u64, measure: u64) -> (SimResult, VerifyReport) {
-    let mut net = Network::new(cfg.clone());
-    net.stats.set_window(warmup, warmup + measure);
-    let mut chk = StrictChecker::default();
-    for _ in 0..warmup + measure {
-        net.step_checked(&mut NopProfiler, &mut chk);
-    }
-    (summarize(&net), chk.into_report())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{run_sim_engine, Engine, Run, SimResult};
     use crate::topology::TopologyKind;
+    use crate::SimConfig;
+
+    fn verified(cfg: &SimConfig, warmup: u64, measure: u64) -> (SimResult, VerifyReport) {
+        let out = Run::new(cfg, warmup, measure)
+            .verify()
+            .go()
+            .expect("no telemetry, no trip");
+        (out.result, out.verify.expect("checker attached"))
+    }
 
     #[test]
     fn nop_checker_is_inert() {
@@ -156,7 +149,7 @@ mod tests {
             injection_rate: 0.2,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         };
-        let (res, rep) = run_sim_verified(&cfg, 300, 800);
+        let (res, rep) = verified(&cfg, 300, 800);
         assert!(rep.passed(), "violations: {:?}", rep.violations);
         assert!(rep.checks > 0);
         assert!(res.throughput > 0.0);
@@ -169,9 +162,9 @@ mod tests {
             injection_rate: 0.15,
             ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2)
         };
-        let (v, rep) = run_sim_verified(&cfg, 300, 700);
+        let (v, rep) = verified(&cfg, 300, 700);
         assert!(rep.passed(), "violations: {:?}", rep.violations);
-        let p = crate::sim::run_sim(&cfg, 300, 700);
+        let p = run_sim_engine(&cfg, 300, 700, Engine::Sequential);
         assert_eq!(v.avg_latency.to_bits(), p.avg_latency.to_bits());
         assert_eq!(v.throughput.to_bits(), p.throughput.to_bits());
     }

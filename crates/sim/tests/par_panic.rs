@@ -79,7 +79,7 @@ fn panic_on_first_cycle_restores_router_state() {
 
 #[test]
 fn single_threaded_and_sequential_paths_unaffected() {
-    // threads == 1 takes the step_parallel fallback, which never drains
+    // threads == 1 takes the in-order cycle body, which never drains
     // the routers; the armed panic still propagates and the network
     // still holds its routers.
     quiet_panics();

@@ -4,7 +4,7 @@
 //! results rest on.
 
 use noc_core::{SpecMode, SwitchAllocatorKind};
-use noc_sim::{run_sim, Network, SimConfig, TopologyKind};
+use noc_sim::{run_sim_engine, Engine, Network, SimConfig, TopologyKind};
 
 fn sa_kinds() -> Vec<SwitchAllocatorKind> {
     use noc_arbiter::ArbiterKind::RoundRobin;
@@ -27,7 +27,7 @@ fn zero_load_latency_identical_across_switch_allocators() {
             injection_rate: 0.01,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
         };
-        let r = run_sim(&cfg, 1_500, 5_000);
+        let r = run_sim_engine(&cfg, 1_500, 5_000, Engine::Sequential);
         lats.push(r.avg_latency);
     }
     // At zero load there are no conflicts: all three allocators grant the
@@ -51,14 +51,15 @@ fn nonspec_penalty_scales_with_hop_count() {
         injection_rate: 0.01,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
     };
-    let spec = run_sim(&base, 1_500, 6_000).avg_latency;
-    let nonspec = run_sim(
+    let spec = run_sim_engine(&base, 1_500, 6_000, Engine::Sequential).avg_latency;
+    let nonspec = run_sim_engine(
         &SimConfig {
             spec_mode: SpecMode::NonSpeculative,
             ..base.clone()
         },
         1_500,
         6_000,
+        Engine::Sequential,
     )
     .avg_latency;
     let diff = nonspec - spec;
@@ -80,7 +81,7 @@ fn accepted_equals_offered_below_saturation_for_all_allocators() {
             injection_rate: 0.25,
             ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2)
         };
-        let r = run_sim(&cfg, 2_000, 5_000);
+        let r = run_sim_engine(&cfg, 2_000, 5_000, Engine::Sequential);
         assert!(r.stable, "{kind:?}");
         assert!(
             (r.throughput - 0.25).abs() < 0.02,
@@ -103,7 +104,7 @@ fn mesh_link_sustains_full_rate_on_linear_traffic() {
         injection_rate: 0.4,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 4)
     };
-    let r = run_sim(&cfg, 3_000, 6_000);
+    let r = run_sim_engine(&cfg, 3_000, 6_000, Engine::Sequential);
     assert!(r.throughput > 0.35, "throughput {}", r.throughput);
 }
 
@@ -115,7 +116,7 @@ fn speculation_succeeds_at_low_load() {
         injection_rate: 0.02,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
     };
-    let r = run_sim(&cfg, 1_000, 5_000);
+    let r = run_sim_engine(&cfg, 1_000, 5_000, Engine::Sequential);
     let s = r.router_stats;
     let total = s.spec_grants + s.spec_masked + s.spec_invalid;
     assert!(total > 100, "not enough speculation activity: {total}");
@@ -134,7 +135,7 @@ fn nonspec_mode_never_speculates() {
         injection_rate: 0.2,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
     };
-    let r = run_sim(&cfg, 1_000, 3_000);
+    let r = run_sim_engine(&cfg, 1_000, 3_000, Engine::Sequential);
     let s = r.router_stats;
     assert_eq!(s.spec_grants + s.spec_masked + s.spec_invalid, 0);
     assert!(s.nonspec_grants > 0);
@@ -170,6 +171,6 @@ fn ugal_survives_adversarial_traffic() {
         injection_rate: 0.25,
         ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2)
     };
-    let r = run_sim(&cfg, 2_000, 5_000);
+    let r = run_sim_engine(&cfg, 2_000, 5_000, Engine::Sequential);
     assert!(r.stable, "UGAL should sustain 0.25 under tornado");
 }

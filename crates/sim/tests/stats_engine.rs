@@ -1,10 +1,21 @@
 //! Integration tests for the statistics engine: steady-state detection,
 //! replicated confidence intervals, and histogram percentile accuracy.
 
+// Panicking on setup failure is the right behaviour outside library code.
+#![allow(clippy::expect_used)]
 use noc_obs::HdrHistogram;
-use noc_sim::{run_sim, run_sim_auto, run_sim_replicated, SimConfig, TopologyKind};
+use noc_sim::{run_sim_engine, Engine, Run, SimConfig, SimResult, TopologyKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// A `total`-cycle run with MSER-detected warmup, replicated over `seeds`.
+fn auto(cfg: &SimConfig, total: u64, seeds: usize) -> SimResult {
+    Run::auto(cfg, total)
+        .seeds(seeds)
+        .go()
+        .expect("no telemetry, no trip")
+        .result
+}
 
 fn mesh(rate: f64) -> SimConfig {
     SimConfig {
@@ -18,8 +29,8 @@ fn replicated_cis_from_disjoint_seed_sets_overlap() {
     // Two independent 6-seed replications of the same workload estimate
     // the same true mean, so their 95% confidence intervals must overlap
     // (the means differ by less than the sum of half-widths).
-    let a = run_sim_replicated(&mesh(0.1), 3_000, 6);
-    let b = run_sim_replicated(
+    let a = auto(&mesh(0.1), 3_000, 6);
+    let b = auto(
         &SimConfig {
             seed: 0xfeed_beef,
             ..mesh(0.1)
@@ -59,7 +70,7 @@ fn ci_width_shrinks_roughly_with_sqrt_seeds() {
                     seed: 0xba5e ^ (s * 1_000_003),
                     ..mesh(0.1)
                 };
-                let w = run_sim_replicated(&cfg, 2_000, n_seeds).ci95;
+                let w = auto(&cfg, 2_000, n_seeds).ci95;
                 assert!(w.is_finite() && w > 0.0, "ci95 {w} for {n_seeds} seeds");
                 w
             })
@@ -74,17 +85,17 @@ fn ci_width_shrinks_roughly_with_sqrt_seeds() {
 
 #[test]
 fn auto_warmup_detects_the_fill_transient() {
-    let auto = run_sim_auto(&mesh(0.15), 6_000);
+    let auto = auto(&mesh(0.15), 6_000, 1);
     let warmup = auto
         .warmup_detected
-        .expect("run_sim_auto must report the detected warmup");
+        .expect("an auto run must report the detected warmup");
     assert!(
         warmup < 3_000,
         "MSER truncated more than half the run: {warmup}"
     );
     assert!(auto.avg_latency.is_finite());
     // The auto-truncated mean must agree with a generously fixed warmup.
-    let fixed = run_sim(&mesh(0.15), 2_000, 4_000);
+    let fixed = run_sim_engine(&mesh(0.15), 2_000, 4_000, Engine::Sequential);
     let rel = (auto.avg_latency - fixed.avg_latency).abs() / fixed.avg_latency;
     assert!(
         rel < 0.15,
@@ -97,7 +108,7 @@ fn auto_warmup_detects_the_fill_transient() {
 
 #[test]
 fn auto_runs_carry_a_batch_means_ci() {
-    let auto = run_sim_auto(&mesh(0.1), 6_000);
+    let auto = auto(&mesh(0.1), 6_000, 1);
     assert!(
         auto.ci95.is_finite() && auto.ci95 > 0.0,
         "batch-means ci95 {}",
@@ -151,8 +162,8 @@ fn seed_prefix_nesting_is_stable() {
     // a prefix of the 4-seed run's seeds, so adding seeds refines rather
     // than replaces the estimate. Verified indirectly: both runs must
     // agree within their CIs.
-    let r2 = run_sim_replicated(&mesh(0.1), 3_000, 2);
-    let r4 = run_sim_replicated(&mesh(0.1), 3_000, 4);
+    let r2 = auto(&mesh(0.1), 3_000, 2);
+    let r4 = auto(&mesh(0.1), 3_000, 4);
     assert_eq!(r2.warmup_detected, r4.warmup_detected, "same pilot run");
     let gap = (r2.avg_latency - r4.avg_latency).abs();
     assert!(

@@ -5,7 +5,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 use noc_sim::packet::RouteState;
 use noc_sim::routing::{route_at, RoutingKind};
-use noc_sim::{run_sim, Network, SimConfig, Topology, TopologyKind};
+use noc_sim::{run_sim_engine, Engine, Network, SimConfig, Topology, TopologyKind};
 
 #[test]
 fn torus_links_are_symmetric_and_complete() {
@@ -119,21 +119,23 @@ fn torus_network_delivers_and_drains() {
 fn torus_beats_mesh_on_latency_and_saturation() {
     // Half the average distance -> lower zero-load latency; doubled
     // bisection -> higher saturation.
-    let mesh = run_sim(
+    let mesh = run_sim_engine(
         &SimConfig {
             injection_rate: 0.02,
             ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
         },
         1_500,
         5_000,
+        Engine::Sequential,
     );
-    let torus = run_sim(
+    let torus = run_sim_engine(
         &SimConfig {
             injection_rate: 0.02,
             ..SimConfig::paper_baseline(TopologyKind::Torus8x8, 2)
         },
         1_500,
         5_000,
+        Engine::Sequential,
     );
     assert!(
         torus.avg_latency < mesh.avg_latency,
@@ -146,7 +148,7 @@ fn torus_beats_mesh_on_latency_and_saturation() {
         injection_rate: 0.5,
         ..SimConfig::paper_baseline(TopologyKind::Torus8x8, 2)
     };
-    let r = run_sim(&hot, 2_000, 4_000);
+    let r = run_sim_engine(&hot, 2_000, 4_000, Engine::Sequential);
     assert!(
         r.stable,
         "torus should sustain 0.5 flits/cycle/node uniform"

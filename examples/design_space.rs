@@ -12,7 +12,7 @@ use noc_hw::builders::sw_alloc::synthesize_switch_allocator;
 use noc_hw::builders::vc_alloc::synthesize_vc_allocator;
 use noc_hw::Synthesizer;
 use noc_quality::{vc_quality_curve, VcQualityConfig};
-use noc_sim::{run_sim, SimConfig, TopologyKind};
+use noc_sim::{run_sim_engine, Engine, SimConfig, TopologyKind};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -86,7 +86,7 @@ fn main() {
         injection_rate: 0.2,
         ..SimConfig::paper_baseline(topo, c)
     };
-    let r = run_sim(&cfg, 2_000, 5_000);
+    let r = run_sim_engine(&cfg, 2_000, 5_000, Engine::Sequential);
     println!(
         "\nnetwork @ 0.2 flits/cycle/terminal: {:.1} cycles avg latency (requests {:.1}, replies {:.1})",
         r.avg_latency, r.request_latency, r.reply_latency

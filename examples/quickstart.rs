@@ -5,7 +5,7 @@
 
 use noc_core::SwitchAllocatorKind;
 use noc_core::{AllocatorKind, BitMatrix, SpecMode, SpeculativeSwitchAllocator, SwitchRequests};
-use noc_sim::{run_sim, SimConfig, TopologyKind};
+use noc_sim::{run_sim_engine, Engine, SimConfig, TopologyKind};
 
 fn main() {
     // --- 1. General allocation: 4 requesters x 4 resources --------------
@@ -61,7 +61,7 @@ fn main() {
         injection_rate: 0.15,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
     };
-    let r = run_sim(&cfg, 1_000, 4_000);
+    let r = run_sim_engine(&cfg, 1_000, 4_000, Engine::Sequential);
     println!(
         "\nmesh 2x1x2 @ 0.15 flits/cycle/node: avg latency {:.1} cycles, throughput {:.3}, stable={}",
         r.avg_latency, r.throughput, r.stable

@@ -126,3 +126,108 @@ fn invalid_flag_value_is_a_clean_error() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("invalid value"));
 }
+
+#[test]
+fn sim_reads_the_vc_allocator_from_vca() {
+    // `noc sim` names the VC allocator `--vca`, as its help says; `--alloc`
+    // belongs to synth and verilog.
+    let run = |extra: &[&str]| {
+        let mut args = vec![
+            "sim",
+            "--rate",
+            "0.3",
+            "--warmup",
+            "200",
+            "--measure",
+            "600",
+            "--seed",
+            "7",
+            "--json",
+        ];
+        args.extend_from_slice(extra);
+        let out = noc(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        String::from_utf8(out.stdout).unwrap()
+    };
+    let default = run(&[]);
+    assert_eq!(default, run(&["--vca", "sep_if_rr"]));
+    assert_ne!(default, run(&["--vca", "wf"]));
+}
+
+#[test]
+fn unknown_flags_are_rejected() {
+    let out = noc(&["sim", "--bogus-flag", "3"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("--bogus-flag"), "{err}");
+    // A flag that exists elsewhere is still unknown to this subcommand.
+    let out = noc(&["quality", "vca", "--alloc", "wf"]);
+    assert_eq!(out.status.code(), Some(1));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--alloc"));
+}
+
+#[test]
+fn bench_checks_the_output_directory_before_running() {
+    let missing = std::env::temp_dir().join(format!("noc-no-such-dir-{}", std::process::id()));
+    let out = noc(&["bench", "--quick", "--out", missing.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("not an existing directory"), "{err}");
+    assert!(
+        !err.contains("running bench matrix"),
+        "ran before failing: {err}"
+    );
+}
+
+#[test]
+fn every_observer_combines_with_every_other_and_any_engine() {
+    // No observer excludes another, on any engine or seed count.
+    let dir = std::env::temp_dir().join(format!("noc-cli-observers-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let (trace, metrics, anatomy, record) = (
+        path("t.json"),
+        path("m.csv"),
+        path("a.jsonl"),
+        path("r.jsonl"),
+    );
+    let out = noc(&[
+        "sim",
+        "--engine",
+        "active",
+        "--seeds",
+        "2",
+        "--profile",
+        "--verify",
+        "--trace",
+        &trace,
+        "--metrics",
+        &metrics,
+        "--anatomy-out",
+        &anatomy,
+        "--record",
+        &record,
+        "--warmup",
+        "200",
+        "--measure",
+        "500",
+    ]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    for file in [&trace, &metrics, &anatomy, &record] {
+        let len = std::fs::metadata(file).map(|m| m.len()).unwrap_or(0);
+        assert!(len > 0, "{file} was not written");
+    }
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("replication      2 seeds"), "{text}");
+    assert!(text.contains("simulator speed"), "{text}");
+    assert!(text.contains("reconciliation"), "{text}");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -13,11 +13,8 @@
 //!    cycle so the bug is bisectable.
 
 use noc_bench::workload_matrix;
-use noc_obs::{window_jsonl, AnatomyHeader, DigestSink, ANATOMY_SCHEMA};
-use noc_sim::{
-    run_sim_anatomy, run_sim_engine, run_sim_recorded_with, Engine, Network, SimConfig,
-    TelemetryOptions,
-};
+use noc_obs::{metrics_csv, window_jsonl, AnatomyHeader, DigestSink, ANATOMY_SCHEMA};
+use noc_sim::{run_sim_engine, Engine, Network, Run, SimConfig, TelemetryOptions};
 
 const WARMUP: u64 = 500;
 const MEASURE: u64 = 1500;
@@ -132,11 +129,13 @@ fn telemetry_lines(cfg: &SimConfig, engine: Engine) -> (String, Vec<String>) {
         ..TelemetryOptions::recording()
     };
     let mut lines = Vec::new();
-    let outcome = run_sim_recorded_with(cfg, WARMUP, MEASURE, engine, opts, |snap| {
-        lines.push(window_jsonl(snap));
-    });
-    let (res, _rec) = match outcome {
-        Ok(pair) => pair,
+    let outcome = Run::new(cfg, WARMUP, MEASURE)
+        .engine(engine)
+        .telemetry(opts)
+        .on_window(|snap| lines.push(window_jsonl(snap)))
+        .go();
+    let res = match outcome {
+        Ok(out) => out.result,
         Err(trip) => panic!("run cannot trip without a watchdog: {}", trip.describe()),
     };
     (res.to_json(), lines)
@@ -180,8 +179,25 @@ fn telemetry_dumps_byte_identical_across_engines() {
 /// Runs `cfg` with the per-packet latency ledger attached and returns the
 /// result JSON plus the full `noc-anatomy/v1` dump text.
 fn anatomy_dump(cfg: &SimConfig, engine: Engine) -> (String, String) {
-    let (res, col) = run_sim_anatomy(cfg, WARMUP, MEASURE, engine, 1 << 16, 4);
-    let header = AnatomyHeader {
+    let out = match Run::new(cfg, WARMUP, MEASURE)
+        .engine(engine)
+        .anatomy(1 << 16, 4)
+        .go()
+    {
+        Ok(out) => out,
+        Err(trip) => panic!("run cannot trip without telemetry: {}", trip.describe()),
+    };
+    let (res, col) = match out.anatomy {
+        Some(col) => (out.result, col),
+        None => panic!("anatomy run returned no ledger"),
+    };
+    let header = anatomy_header(cfg);
+    (res.to_json(), col.to_jsonl(&header))
+}
+
+/// The `noc-anatomy/v1` identity line of a `WARMUP + MEASURE` run of `cfg`.
+fn anatomy_header(cfg: &SimConfig) -> AnatomyHeader {
+    AnatomyHeader {
         digest: cfg.digest(WARMUP, MEASURE, ANATOMY_SCHEMA),
         label: cfg.label(),
         routers: cfg.topology.build().num_routers(),
@@ -189,8 +205,7 @@ fn anatomy_dump(cfg: &SimConfig, engine: Engine) -> (String, String) {
         measure: MEASURE,
         capacity: 1 << 16,
         top_k: 4,
-    };
-    (res.to_json(), col.to_jsonl(&header))
+    }
 }
 
 /// Layer 4: the latency-anatomy ledger is part of the cycle-exact contract.
@@ -239,5 +254,100 @@ fn parallel_engine_thread_count_does_not_change_results() {
     for threads in [1, 2, 3, 7, 64, 200] {
         let got = run_sim_engine(&cfg, WARMUP, MEASURE, Engine::Parallel(threads)).to_json();
         assert_eq!(got, reference, "{name}: {threads} threads diverged");
+    }
+}
+
+/// Everything an observed run produces, rendered for byte comparison.
+struct Observed {
+    /// `SimResult::to_json` with the telemetry block removed.
+    result: String,
+    telemetry: Vec<String>,
+    anatomy: String,
+    metrics: String,
+    trace_digest: u64,
+    violations: u64,
+}
+
+/// Runs `cfg` on `engine` with every observer attached at once: trace
+/// sink, metrics, telemetry, anatomy, profiler and invariant checker.
+fn observe_everything(cfg: &SimConfig, engine: Engine) -> Observed {
+    let mut sink = DigestSink::new();
+    let mut telemetry = Vec::new();
+    let opts = TelemetryOptions {
+        watchdog: None,
+        ..TelemetryOptions::recording()
+    };
+    let outcome = Run::new(cfg, WARMUP, MEASURE)
+        .engine(engine)
+        .sink(&mut sink)
+        .metrics(100)
+        .telemetry(opts)
+        .on_window(|snap| telemetry.push(window_jsonl(snap)))
+        .anatomy(1 << 16, 4)
+        .profile()
+        .verify()
+        .go();
+    let out = match outcome {
+        Ok(out) => out,
+        Err(trip) => panic!("run cannot trip without a watchdog: {}", trip.describe()),
+    };
+    let (Some(col), Some(prof), Some(rep)) = (&out.anatomy, &out.profile, &out.verify) else {
+        panic!("an observer asked for returned nothing");
+    };
+    assert_eq!(prof.cycles, WARMUP + MEASURE);
+    assert!(
+        out.result.telemetry.is_some(),
+        "recording adds a telemetry block"
+    );
+    let mut result = out.result.clone();
+    result.telemetry = None;
+    Observed {
+        result: result.to_json(),
+        telemetry,
+        anatomy: col.to_jsonl(&anatomy_header(cfg)),
+        metrics: metrics_csv(&out.router_obs, out.metrics.as_ref()),
+        trace_digest: sink.digest(),
+        violations: rep.total_violations,
+    }
+}
+
+/// Layer 5: every observer at once, on every engine. The result is the
+/// plain run's, the dumps are byte-identical across engines, and the
+/// checker finds no violation.
+#[test]
+fn all_observers_together_are_pure_and_engine_identical() {
+    for (name, cfg) in workload_matrix() {
+        if name != "mesh8x8_c2_r0.25" && name != "fbfly4x4_c2_r0.2" {
+            continue;
+        }
+        let plain = run_sim_engine(&cfg, WARMUP, MEASURE, Engine::Sequential).to_json();
+        let reference = observe_everything(&cfg, Engine::Sequential);
+        assert_eq!(
+            reference.result, plain,
+            "{name}: attaching every observer changed the SimResult"
+        );
+        assert_eq!(reference.violations, 0, "{name}: invariant violations");
+        for engine in fast_engines() {
+            let got = observe_everything(&cfg, engine);
+            let label = engine.label();
+            assert_eq!(got.result, plain, "{name}: engine '{label}' SimResult");
+            assert_eq!(got.violations, 0, "{name}: engine '{label}' violations");
+            assert_eq!(
+                got.telemetry, reference.telemetry,
+                "{name}: engine '{label}' telemetry dump"
+            );
+            assert_eq!(
+                got.anatomy, reference.anatomy,
+                "{name}: engine '{label}' anatomy dump"
+            );
+            assert_eq!(
+                got.metrics, reference.metrics,
+                "{name}: engine '{label}' metrics"
+            );
+            assert_eq!(
+                got.trace_digest, reference.trace_digest,
+                "{name}: engine '{label}' trace digest"
+            );
+        }
     }
 }

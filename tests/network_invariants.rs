@@ -71,7 +71,7 @@ fn dense_and_sparse_vc_allocators_both_work_in_network() {
             injection_rate: 0.2,
             ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2)
         };
-        let r = noc_sim::run_sim(&cfg, 1_000, 3_000);
+        let r = noc_sim::run_sim_engine(&cfg, 1_000, 3_000, noc_sim::Engine::Sequential);
         assert!(r.stable, "sparse={sparse}");
         assert!(r.avg_latency.is_finite());
     }
@@ -91,7 +91,7 @@ fn all_traffic_patterns_deliver() {
             injection_rate: 0.1,
             ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2)
         };
-        let r = noc_sim::run_sim(&cfg, 1_500, 3_000);
+        let r = noc_sim::run_sim_engine(&cfg, 1_500, 3_000, noc_sim::Engine::Sequential);
         assert!(r.stable, "{pattern:?}");
         assert!(r.throughput > 0.05, "{pattern:?}: {}", r.throughput);
     }
@@ -108,7 +108,7 @@ fn seeds_change_results_but_reruns_do_not() {
             seed,
             ..base.clone()
         };
-        let r = noc_sim::run_sim(&cfg, 1_000, 2_000);
+        let r = noc_sim::run_sim_engine(&cfg, 1_000, 2_000, noc_sim::Engine::Sequential);
         (r.avg_latency, r.throughput)
     };
     assert_eq!(run(1), run(1));
@@ -121,7 +121,7 @@ fn request_and_reply_latencies_are_both_measured() {
         injection_rate: 0.15,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
     };
-    let r = noc_sim::run_sim(&cfg, 1_500, 4_000);
+    let r = noc_sim::run_sim_engine(&cfg, 1_500, 4_000, noc_sim::Engine::Sequential);
     assert!(r.request_latency.is_finite());
     assert!(r.reply_latency.is_finite());
     // Both classes travel the same network; their latencies are similar.
@@ -138,7 +138,7 @@ fn buffer_depth_sensitivity_monotone_near_saturation() {
         injection_rate: 0.3,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
     };
-    let shallow = noc_sim::run_sim(&mk(4), 1_500, 3_000);
-    let deep = noc_sim::run_sim(&mk(16), 1_500, 3_000);
+    let shallow = noc_sim::run_sim_engine(&mk(4), 1_500, 3_000, noc_sim::Engine::Sequential);
+    let deep = noc_sim::run_sim_engine(&mk(16), 1_500, 3_000, noc_sim::Engine::Sequential);
     assert!(deep.throughput >= shallow.throughput * 0.98);
 }

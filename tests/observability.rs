@@ -3,8 +3,8 @@
 
 // Panicking on setup failure is the right behaviour outside library code.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-use noc_obs::{validate_json, CountingSink, FlitEventKind, NopSink};
-use noc_sim::{run_sim, run_sim_observed, SimConfig, TopologyKind};
+use noc_obs::{validate_json, CountingSink, FlitEventKind};
+use noc_sim::{run_sim_engine, Engine, Run, SimConfig, TopologyKind};
 use std::process::Command;
 
 fn noc(args: &[&str]) -> std::process::Output {
@@ -130,7 +130,9 @@ fn stall_fractions_partition_every_cycle() {
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
     };
     let total = 1_500u64;
-    let run = run_sim_observed(&cfg, 500, total - 500, NopSink, None);
+    let run = Run::new(&cfg, 500, total - 500)
+        .go()
+        .expect("no telemetry, no trip");
     assert!(!run.router_obs.is_empty());
     for (r, obs) in run.router_obs.iter().enumerate() {
         for (idx, s) in obs.vc.iter().enumerate() {
@@ -165,8 +167,12 @@ fn trace_events_are_consistent_with_run_statistics() {
         injection_rate: 0.15,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
     };
-    let run = run_sim_observed(&cfg, 300, 900, CountingSink::default(), None);
-    let s = &run.sink;
+    let mut sink = CountingSink::default();
+    let run = Run::new(&cfg, 300, 900)
+        .sink(&mut sink)
+        .go()
+        .expect("no telemetry, no trip");
+    let s = &sink;
     assert!(s.count(FlitEventKind::Inject) > 0);
     // Conservation: a flit must be injected before it can eject or move.
     assert!(s.count(FlitEventKind::Eject) <= s.count(FlitEventKind::Inject));
@@ -190,8 +196,13 @@ fn traced_and_untraced_runs_agree_exactly() {
         injection_rate: 0.2,
         ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 2)
     };
-    let plain = run_sim(&cfg, 400, 800);
-    let traced = run_sim_observed(&cfg, 400, 800, CountingSink::default(), Some(64));
+    let plain = run_sim_engine(&cfg, 400, 800, Engine::Sequential);
+    let mut sink = CountingSink::default();
+    let traced = Run::new(&cfg, 400, 800)
+        .sink(&mut sink)
+        .metrics(64)
+        .go()
+        .expect("no telemetry, no trip");
     assert_eq!(
         plain.avg_latency.to_bits(),
         traced.result.avg_latency.to_bits()

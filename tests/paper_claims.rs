@@ -4,7 +4,7 @@
 
 use noc_core::{AllocatorKind, VcAllocSpec};
 use noc_quality::{sw_quality_curve, vc_quality_curve, SwQualityConfig, VcQualityConfig};
-use noc_sim::{run_sim, SimConfig, TopologyKind};
+use noc_sim::{run_sim_engine, Engine, SimConfig, TopologyKind};
 
 #[test]
 fn fig4_claim_96_of_256_legal_transitions() {
@@ -64,14 +64,15 @@ fn section_5_3_3_claim_wavefront_gains_throughput_on_large_fbfly() {
         injection_rate: 0.53,
         ..SimConfig::paper_baseline(TopologyKind::FlattenedButterfly4x4, 4)
     };
-    let sep = run_sim(&base, 2_000, 4_000);
-    let wf = run_sim(
+    let sep = run_sim_engine(&base, 2_000, 4_000, Engine::Sequential);
+    let wf = run_sim_engine(
         &SimConfig {
             sa_kind: SwitchAllocatorKind::Wavefront,
             ..base.clone()
         },
         2_000,
         4_000,
+        Engine::Sequential,
     );
     assert!(wf.stable, "wf should sustain 0.53 on fbfly 2x2x4");
     assert!(
@@ -89,14 +90,15 @@ fn section_5_3_3_claim_speculation_cuts_mesh_zero_load_latency() {
         injection_rate: 0.01,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 1)
     };
-    let spec = run_sim(&base, 1_500, 6_000).avg_latency;
-    let nonspec = run_sim(
+    let spec = run_sim_engine(&base, 1_500, 6_000, Engine::Sequential).avg_latency;
+    let nonspec = run_sim_engine(
         &SimConfig {
             spec_mode: SpecMode::NonSpeculative,
             ..base.clone()
         },
         1_500,
         6_000,
+        Engine::Sequential,
     )
     .avg_latency;
     let gain = (nonspec - spec) / nonspec;
@@ -116,14 +118,15 @@ fn section_4_3_3_claim_vc_allocator_choice_barely_matters_at_network_level() {
         injection_rate: 0.25,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
     };
-    let a = run_sim(&base, 2_000, 4_000);
-    let b = run_sim(
+    let a = run_sim_engine(&base, 2_000, 4_000, Engine::Sequential);
+    let b = run_sim_engine(
         &SimConfig {
             vca_kind: AllocatorKind::Wavefront,
             ..base.clone()
         },
         2_000,
         4_000,
+        Engine::Sequential,
     );
     assert!(a.stable && b.stable);
     let diff = (a.avg_latency - b.avg_latency).abs() / a.avg_latency;
@@ -141,14 +144,15 @@ fn section_5_2_claim_pessimistic_equals_conventional_at_low_load() {
         injection_rate: 0.05,
         ..SimConfig::paper_baseline(TopologyKind::Mesh8x8, 2)
     };
-    let pess = run_sim(&base, 1_500, 4_000).avg_latency;
-    let conv = run_sim(
+    let pess = run_sim_engine(&base, 1_500, 4_000, Engine::Sequential).avg_latency;
+    let conv = run_sim_engine(
         &SimConfig {
             spec_mode: SpecMode::Conventional,
             ..base.clone()
         },
         1_500,
         4_000,
+        Engine::Sequential,
     )
     .avg_latency;
     let diff = (pess - conv).abs() / conv;

@@ -2,7 +2,7 @@
 //! in-repo reader parses back losslessly, with NaN mapped to `null`.
 
 use noc_obs::JsonValue;
-use noc_sim::{run_sim, run_sim_replicated, SimConfig, TopologyKind};
+use noc_sim::{run_sim_engine, Engine, Run, SimConfig, TopologyKind};
 
 fn mesh(rate: f64) -> SimConfig {
     SimConfig {
@@ -13,7 +13,7 @@ fn mesh(rate: f64) -> SimConfig {
 
 #[test]
 fn single_run_summary_round_trips_with_nan_as_null() {
-    let r = run_sim(&mesh(0.1), 500, 1_500);
+    let r = run_sim_engine(&mesh(0.1), 500, 1_500, Engine::Sequential);
     let v = JsonValue::parse(&r.to_json()).expect("to_json must be strict JSON");
     // Plain runs have no CI estimate: NaN must serialize as null and read
     // back as NaN through num_or_nan.
@@ -36,7 +36,11 @@ fn single_run_summary_round_trips_with_nan_as_null() {
 
 #[test]
 fn replicated_run_summary_round_trips_ci_and_warmup() {
-    let r = run_sim_replicated(&mesh(0.1), 2_000, 3);
+    let r = Run::auto(&mesh(0.1), 2_000)
+        .seeds(3)
+        .go()
+        .expect("no telemetry, no trip")
+        .result;
     let v = JsonValue::parse(&r.to_json()).expect("strict JSON");
     assert_eq!(v.num_or_nan("seeds"), 3.0);
     assert!(r.ci95.is_finite());
@@ -50,7 +54,7 @@ fn replicated_run_summary_round_trips_ci_and_warmup() {
 #[test]
 fn empty_run_serializes_every_nan_as_null() {
     // Zero injection: nothing is delivered, every latency metric is NaN.
-    let r = run_sim(&mesh(0.0), 100, 200);
+    let r = run_sim_engine(&mesh(0.0), 100, 200, Engine::Sequential);
     let json = r.to_json();
     assert!(!json.contains("NaN"), "raw NaN leaked into JSON: {json}");
     let v = JsonValue::parse(&json).expect("strict JSON");

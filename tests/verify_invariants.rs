@@ -2,14 +2,25 @@
 //! on every workload of the bench matrix, and the static checker must prove
 //! every simulated configuration deadlock-free.
 
+// Panicking on setup failure is the right behaviour outside library code.
+#![allow(clippy::expect_used)]
 use noc_bench::workload_matrix;
 use noc_check::{check_design, RouteModel};
-use noc_sim::{run_sim_verified, SimConfig, TopologyKind};
+use noc_sim::{Run, SimConfig, SimResult, TopologyKind, VerifyReport};
+
+/// A run of `cfg` with the invariant checker on every cycle.
+fn verified(cfg: &SimConfig, warmup: u64, measure: u64) -> (SimResult, VerifyReport) {
+    let out = Run::new(cfg, warmup, measure)
+        .verify()
+        .go()
+        .expect("no telemetry, no trip");
+    (out.result, out.verify.expect("checker attached"))
+}
 
 #[test]
 fn bench_matrix_runs_with_zero_invariant_violations() {
     for (name, cfg) in workload_matrix() {
-        let (res, rep) = run_sim_verified(&cfg, 200, 600);
+        let (res, rep) = verified(&cfg, 200, 600);
         assert!(
             rep.passed(),
             "{name}: {} violations, e.g. {:?}",
@@ -27,7 +38,7 @@ fn torus_runs_with_zero_invariant_violations() {
         injection_rate: 0.15,
         ..SimConfig::paper_baseline(TopologyKind::Torus8x8, 2)
     };
-    let (_, rep) = run_sim_verified(&cfg, 300, 900);
+    let (_, rep) = verified(&cfg, 300, 900);
     assert!(rep.passed(), "torus: {:?}", rep.violations.first());
 }
 

@@ -14,7 +14,7 @@
 //! separate processes and invisible to this allocator.
 
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind};
-use noc_sim::{Network, SimConfig, TopologyKind};
+use noc_sim::{Engine, Network, SimConfig, TopologyKind};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -156,8 +156,8 @@ fn kernel_paths_steady_state_is_allocation_free() {
 fn active_engine_steady_state_is_allocation_free() {
     let guard = MEASURE.lock().unwrap_or_else(|e| e.into_inner());
     let mut n = net(TopologyKind::Mesh8x8);
-    n.run_active(WARMUP);
-    let during = allocs_during(|| n.run_active(MEASURED));
+    Engine::ActiveSet.run(&mut n, WARMUP);
+    let during = allocs_during(|| Engine::ActiveSet.run(&mut n, MEASURED));
     assert_eq!(
         during, 0,
         "active engine allocated {during} times in {MEASURED} steady-state cycles"
