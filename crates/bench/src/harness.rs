@@ -40,9 +40,8 @@
 //! goes (route / vc_alloc / sw_alloc / traversal / credit shares), which
 //! is the first thing to look at when a regression check fails.
 
-use noc_obs::{JsonValue, Profiler};
+use noc_obs::{JsonValue, JsonWriter, Profiler};
 use noc_sim::{run_sim_engine, Engine, Run, SimConfig, SimResult, TopologyKind};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Report schema identifier; bump on breaking layout changes.
@@ -152,6 +151,19 @@ pub struct BenchReport {
     pub workloads: Vec<WorkloadResult>,
 }
 
+/// Formats `v` to three significant figures without an exponent
+/// (`12345.6` → `12300`, `0.012345` → `0.0123`), so speeds from a few
+/// cycles/s to millions read at a glance.
+pub fn sig3(v: f64) -> String {
+    if !v.is_finite() || v == 0.0 {
+        return format!("{v}");
+    }
+    let magnitude = v.abs().log10().floor() as i32;
+    let scale = 10f64.powi(magnitude - 2);
+    let decimals = (2 - magnitude).max(0) as usize;
+    format!("{:.decimals$}", (v / scale).round() * scale)
+}
+
 /// Canonical report filename for a timestamp: `BENCH_<unix>.json`.
 pub fn report_filename(created_unix: u64) -> String {
     format!("BENCH_{created_unix}.json")
@@ -187,8 +199,8 @@ pub fn run_bench(params: &BenchParams, mut progress: impl FnMut(&str)) -> BenchR
             .unwrap_or_default();
         let cycles_per_sec = cycles as f64 / (wall_nanos as f64 * 1e-9);
         progress(&format!(
-            "{name}: {:.2} Mcycles/sec ({} reps)",
-            cycles_per_sec / 1e6,
+            "{name}: {} cycles/s ({} reps)",
+            sig3(cycles_per_sec),
             times.len()
         ));
         workloads.push(WorkloadResult {
@@ -211,48 +223,30 @@ pub fn run_bench(params: &BenchParams, mut progress: impl FnMut(&str)) -> BenchR
 impl BenchReport {
     /// Serializes the report in the `noc-bench/v1` schema.
     pub fn to_json(&self) -> String {
-        let num = |v: f64| {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        };
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"schema\":\"{}\",\"created_unix\":{},\"quick\":{},\
-             \"warmup\":{},\"measure\":{},\"reps\":{},\"engine\":\"{}\",\"workloads\":[",
-            self.schema,
-            self.created_unix,
-            self.params.quick,
-            self.params.warmup,
-            self.params.measure,
-            self.params.reps,
-            self.params.engine.label()
-        );
-        for (i, w) in self.workloads.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"name\":\"{}\",\"offered\":{},\"avg_latency\":{},\"latency_p99\":{},\
-                 \"throughput\":{},\"cycles\":{},\"wall_nanos\":{},\"cycles_per_sec\":{},\
-                 \"profile\":{}}}",
-                w.name,
-                num(w.result.offered),
-                num(w.result.avg_latency),
-                num(w.result.latency_p99),
-                num(w.result.throughput),
-                w.cycles,
-                w.wall_nanos,
-                num(w.cycles_per_sec),
-                w.profile.to_json()
-            );
-        }
-        out.push_str("]}");
-        out
+        JsonWriter::object(|w| {
+            w.key("schema").str(&self.schema);
+            w.key("created_unix").u64(self.created_unix);
+            w.key("quick").bool(self.params.quick);
+            w.key("warmup").u64(self.params.warmup);
+            w.key("measure").u64(self.params.measure);
+            w.key("reps").u64(self.params.reps as u64);
+            w.key("engine").str(self.params.engine.label());
+            w.key("workloads").arr(|w| {
+                for wl in &self.workloads {
+                    w.obj(|w| {
+                        w.key("name").str(&wl.name);
+                        w.key("offered").f64(wl.result.offered);
+                        w.key("avg_latency").f64(wl.result.avg_latency);
+                        w.key("latency_p99").f64(wl.result.latency_p99);
+                        w.key("throughput").f64(wl.result.throughput);
+                        w.key("cycles").u64(wl.cycles);
+                        w.key("wall_nanos").u64(wl.wall_nanos);
+                        w.key("cycles_per_sec").f64(wl.cycles_per_sec);
+                        w.key("profile").raw(&wl.profile.to_json());
+                    });
+                }
+            });
+        })
     }
 }
 
@@ -276,45 +270,24 @@ pub struct BaselineSummary {
 /// Parses a `noc-bench/v1` report (typically a committed baseline).
 pub fn parse_report(json: &str) -> Result<BaselineSummary, String> {
     let v = JsonValue::parse(json)?;
-    let schema = v
-        .get("schema")
-        .and_then(JsonValue::as_str)
-        .ok_or("report has no schema field")?
-        .to_string();
+    let schema = v.str_field("schema")?.to_string();
     if schema != SCHEMA {
         return Err(format!(
             "unsupported bench schema '{schema}' (want {SCHEMA})"
         ));
     }
-    let created_unix = v
-        .get("created_unix")
-        .and_then(JsonValue::as_f64)
-        .unwrap_or(0.0) as u64;
-    let quick = v.get("quick").and_then(JsonValue::as_bool).unwrap_or(false);
-    let engine = v
-        .get("engine")
-        .and_then(JsonValue::as_str)
-        .unwrap_or("seq")
-        .to_string();
     let mut workloads = Vec::new();
-    for w in v
-        .get("workloads")
-        .and_then(JsonValue::as_array)
-        .ok_or("report has no workloads array")?
-    {
-        let name = w
-            .get("name")
-            .and_then(JsonValue::as_str)
-            .ok_or("workload without a name")?
-            .to_string();
-        let cps = w.num_or_nan("cycles_per_sec");
-        workloads.push((name, cps));
+    for w in v.array_field("workloads")? {
+        workloads.push((
+            w.str_field("name")?.to_string(),
+            w.num_or_nan("cycles_per_sec"),
+        ));
     }
     Ok(BaselineSummary {
         schema,
-        created_unix,
-        quick,
-        engine,
+        created_unix: v.u64_field("created_unix").unwrap_or(0),
+        quick: v.get("quick").and_then(JsonValue::as_bool).unwrap_or(false),
+        engine: v.str_field("engine").unwrap_or("seq").to_string(),
         workloads,
     })
 }
@@ -343,10 +316,10 @@ pub fn compare_baseline(
         compared += 1;
         let delta_pct = (w.cycles_per_sec / base - 1.0) * 100.0;
         let line = format!(
-            "{}: {:.2} Mcycles/sec vs baseline {:.2} ({:+.1}%)",
+            "{}: {} cycles/s vs baseline {} ({:+.1}%)",
             w.name,
-            w.cycles_per_sec / 1e6,
-            base / 1e6,
+            sig3(w.cycles_per_sec),
+            sig3(*base),
             delta_pct
         );
         if delta_pct < -tolerance_pct {
@@ -380,6 +353,17 @@ mod tests {
         assert!(m.iter().any(|(n, _)| n == "mesh8x8_c2_r0.4"));
         let names: std::collections::HashSet<_> = m.iter().map(|(n, _)| n).collect();
         assert_eq!(names.len(), 7, "workload names must be unique keys");
+    }
+
+    #[test]
+    fn speeds_print_to_three_significant_figures() {
+        assert_eq!(sig3(12_345.6), "12300");
+        assert_eq!(sig3(6_213.4), "6210");
+        assert_eq!(sig3(25_000.0), "25000");
+        assert_eq!(sig3(1.5e6), "1500000");
+        assert_eq!(sig3(12.34), "12.3");
+        assert_eq!(sig3(0.012345), "0.0123");
+        assert_eq!(sig3(f64::NAN), "NaN");
     }
 
     #[test]

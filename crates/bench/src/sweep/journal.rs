@@ -24,8 +24,7 @@
 //! cannot erase a journal whose records were already fsynced.
 
 use crate::sweep::cache::sync_dir;
-use crate::sweep::json_escape;
-use noc_obs::JsonValue;
+use noc_obs::{JsonValue, JsonWriter};
 use std::collections::HashSet;
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
@@ -45,23 +44,23 @@ pub struct JournalHeader {
 
 impl JournalHeader {
     fn to_line(&self) -> String {
-        format!(
-            "{{\"schema\":\"noc-sweep-journal/v1\",\"name\":\"{}\",\"spec_digest\":\"{}\",\"points\":{}}}",
-            json_escape(&self.name),
-            json_escape(&self.spec_digest),
-            self.points
-        )
+        JsonWriter::object(|w| {
+            w.key("schema").str("noc-sweep-journal/v1");
+            w.key("name").str(&self.name);
+            w.key("spec_digest").str(&self.spec_digest);
+            w.key("points").u64(self.points as u64);
+        })
     }
 
     fn parse(line: &str) -> Option<JournalHeader> {
         let v = JsonValue::parse(line).ok()?;
-        if v.get("schema")?.as_str()? != "noc-sweep-journal/v1" {
+        if v.str_field("schema").ok()? != "noc-sweep-journal/v1" {
             return None;
         }
         Some(JournalHeader {
-            name: v.get("name")?.as_str()?.to_string(),
-            spec_digest: v.get("spec_digest")?.as_str()?.to_string(),
-            points: v.get("points")?.as_f64()? as usize,
+            name: v.str_field("name").ok()?.to_string(),
+            spec_digest: v.str_field("spec_digest").ok()?.to_string(),
+            points: v.u64_field("points").ok()? as usize,
         })
     }
 }
@@ -226,7 +225,7 @@ impl Journal {
                 // record of a crashed run; its result is either in the
                 // cache (hit) or recomputed (miss), both correct.
                 if let Ok(v) = JsonValue::parse(line) {
-                    if let Some(d) = v.get("digest").and_then(JsonValue::as_str) {
+                    if let Ok(d) = v.str_field("digest") {
                         done.insert(d.to_string());
                     }
                 }
@@ -274,13 +273,12 @@ impl Journal {
         source: &str,
         wall_ms: u64,
     ) -> Result<(), String> {
-        let line = format!(
-            "{{\"digest\":\"{}\",\"label\":\"{}\",\"source\":\"{}\",\"wall_ms\":{}}}",
-            json_escape(digest),
-            json_escape(label),
-            json_escape(source),
-            wall_ms
-        );
+        let line = JsonWriter::object(|w| {
+            w.key("digest").str(digest);
+            w.key("label").str(label);
+            w.key("source").str(source);
+            w.key("wall_ms").u64(wall_ms);
+        });
         let mut w = self
             .writer
             .lock()

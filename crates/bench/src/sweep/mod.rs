@@ -49,20 +49,3 @@ pub use spec::{SweepGrid, SweepPoint, SweepSpec};
 /// bumping it invalidates all cached results and journals at once — do
 /// that whenever simulator semantics or the result format change.
 pub const SWEEP_SCHEMA: &str = "noc-sweep/v1";
-
-/// Escapes a string for embedding in a JSON document.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}

@@ -19,14 +19,14 @@
 
 use crate::sweep::cache::ResultCache;
 use crate::sweep::journal::{Journal, JournalHeader};
-use crate::sweep::serve::proto::ServeRequest;
+use crate::sweep::serve::proto::{ServeRequest, MAX_REQUEST_BYTES};
 use crate::sweep::serve::scheduler::{Scheduler, ServeCounters};
 use noc_obs::serve::{
     serve_accepted_line, serve_done_line, serve_error_line, serve_result_line, serve_status_line,
     SERVE_SCHEMA,
 };
 use noc_sim::digest_pairs;
-use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -228,7 +228,23 @@ fn handle_connection(stream: TcpStream, scheduler: &Scheduler, quiet: bool) {
     let mut reader = BufReader::new(reader_stream);
     let mut writer = BufWriter::new(stream);
     let mut line = String::new();
-    if reader.read_line(&mut line).is_err() || line.trim().is_empty() {
+    let read = (&mut reader)
+        .take(MAX_REQUEST_BYTES as u64 + 1)
+        .read_line(&mut line);
+    if line.trim_end_matches(['\n', '\r']).len() > MAX_REQUEST_BYTES {
+        let message = format!("request: line longer than {MAX_REQUEST_BYTES} bytes");
+        let _ = writeln!(writer, "{}", serve_error_line("", &message));
+        let _ = writer.flush();
+        // Drain what the client is still sending until it hangs up:
+        // closing a socket with unread input resets the connection, and
+        // the client could lose the error line.
+        let _ = std::io::copy(
+            &mut reader.take(64 * MAX_REQUEST_BYTES as u64),
+            &mut std::io::sink(),
+        );
+        return;
+    }
+    if read.is_err() || line.trim().is_empty() {
         let _ = writeln!(writer, "{}", serve_error_line("", "request: empty line"));
         return;
     }

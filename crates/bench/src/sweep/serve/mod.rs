@@ -28,6 +28,6 @@ pub mod selftest;
 
 pub use client::{request, ClientOutcome};
 pub use daemon::{start, Daemon, ServeOptions};
-pub use proto::ServeRequest;
+pub use proto::{ServeRequest, MAX_REQUEST_BYTES, MAX_REQUEST_POINTS};
 pub use scheduler::{PointOutcome, Scheduler, ServeCounters, SubmitSummary};
 pub use selftest::run_selftest;

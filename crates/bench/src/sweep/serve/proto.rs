@@ -13,6 +13,15 @@ use noc_obs::serve::SERVE_SCHEMA;
 use noc_obs::JsonValue;
 use noc_sim::Engine;
 
+/// Longest request line the daemon accepts, in bytes; a longer line is
+/// refused with an error line. Hand-written specs are a few hundred bytes.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Most points one request may expand to. The largest in-repo presets
+/// (`fig13` and `fig14`, 180 points each) fit with room to spare; a grid
+/// whose cartesian product is larger is refused before it is expanded.
+pub const MAX_REQUEST_POINTS: usize = 4096;
+
 /// A parsed, validated serve request.
 #[derive(Debug)]
 pub enum ServeRequest {
@@ -68,24 +77,28 @@ impl ServeRequest {
                 )
             }
         };
-        match v.get("type").and_then(JsonValue::as_str) {
+        let spec = match v.get("type").and_then(JsonValue::as_str) {
             Some("sweep") => {
                 let spec_v = v.get("spec").ok_or("request: sweep without 'spec'")?;
-                let spec = SweepSpec::from_value(spec_v)?;
-                Ok(ServeRequest::Sweep { id, spec, engine })
+                SweepSpec::from_value(spec_v)?
             }
             Some("preset") => {
                 let name = v
-                    .get("preset")
-                    .and_then(JsonValue::as_str)
-                    .ok_or("request: preset without string field 'preset'")?;
-                let spec =
-                    preset(name).ok_or_else(|| format!("request: unknown preset '{name}'"))?;
-                Ok(ServeRequest::Sweep { id, spec, engine })
+                    .str_field("preset")
+                    .map_err(|_| "request: preset without string field 'preset'")?;
+                preset(name).ok_or_else(|| format!("request: unknown preset '{name}'"))?
             }
-            Some("status") => Ok(ServeRequest::Status { id }),
-            other => Err(format!("request: unknown type {other:?}")),
+            Some("status") => return Ok(ServeRequest::Status { id }),
+            other => return Err(format!("request: unknown type {other:?}")),
+        };
+        let points = spec.point_count();
+        if points > MAX_REQUEST_POINTS {
+            return Err(format!(
+                "request: grid expands to {points} points, more than the {MAX_REQUEST_POINTS} \
+                 one request may ask for; split it into several requests"
+            ));
         }
+        Ok(ServeRequest::Sweep { id, spec, engine })
     }
 }
 
@@ -128,6 +141,30 @@ mod tests {
             ServeRequest::parse(&serve_status_request_line("s")).unwrap(),
             ServeRequest::Status { .. }
         ));
+    }
+
+    #[test]
+    fn every_preset_fits_under_the_points_cap() {
+        for name in crate::sweep::preset_names() {
+            let spec = preset(name).unwrap();
+            assert_eq!(spec.point_count(), spec.expand().len(), "{name}");
+            assert!(spec.point_count() <= MAX_REQUEST_POINTS, "{name}");
+            let line = serve_preset_request_line("p", name, None);
+            assert!(ServeRequest::parse(&line).is_ok(), "{name}");
+        }
+    }
+
+    #[test]
+    fn grids_beyond_the_points_cap_are_refused_unexpanded() {
+        // 10^4 rates x 10^4 seeds: expanding this would need gigabytes.
+        let axis = |v: &str| vec![v; 10_000].join(",");
+        let spec = format!(
+            r#"{{"name":"big","grids":[{{"rates":[{}],"seeds":[{}]}}]}}"#,
+            axis("0.1"),
+            axis("1")
+        );
+        let err = ServeRequest::parse(&serve_sweep_request_line("b", &spec, None)).unwrap_err();
+        assert!(err.contains("100000000 points"), "{err}");
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::sweep::serve::client::{request, ClientOutcome};
 use crate::sweep::serve::daemon::{start, ServeOptions};
 use crate::sweep::spec::SweepSpec;
 use noc_obs::serve::serve_sweep_request_line;
+use noc_obs::JsonWriter;
 use std::collections::HashSet;
 use std::path::Path;
 
@@ -27,15 +28,22 @@ fn extra_rate(i: usize) -> f64 {
 /// The selftest sweep spec as request-line JSON: smoke's grid plus
 /// `extras`.
 fn spec_json(warmup: u64, measure: u64, extras: &[f64]) -> String {
-    let rates: Vec<String> = SMOKE_RATES
-        .iter()
-        .chain(extras.iter())
-        .map(|r| format!("{r}"))
-        .collect();
-    format!(
-        "{{\"name\":\"selftest\",\"grids\":[{{\"topology\":\"mesh\",\"vcs\":1,\"rates\":[{}],\"warmup\":{warmup},\"measure\":{measure}}}]}}",
-        rates.join(",")
-    )
+    JsonWriter::object(|w| {
+        w.key("name").str("selftest");
+        w.key("grids").arr(|w| {
+            w.obj(|w| {
+                w.key("topology").str("mesh");
+                w.key("vcs").u64(1);
+                w.key("rates").arr(|w| {
+                    for &r in SMOKE_RATES.iter().chain(extras) {
+                        w.f64(r);
+                    }
+                });
+                w.key("warmup").u64(warmup);
+                w.key("measure").u64(measure);
+            });
+        });
+    })
 }
 
 fn check_client(i: usize, outcome: &ClientOutcome, want_unique: usize) -> Result<(), String> {

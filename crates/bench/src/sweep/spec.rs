@@ -106,6 +106,27 @@ impl SweepPoint {
 }
 
 impl SweepGrid {
+    /// Points [`SweepGrid::expand`] would produce, computed without
+    /// expanding (saturating, so a hostile grid cannot overflow it).
+    pub fn point_count(&self) -> usize {
+        [
+            self.topology.len(),
+            self.vcs.len(),
+            self.vca.len(),
+            self.vca_sparse.len(),
+            self.sa.len(),
+            self.spec_mode.len(),
+            self.pattern.len(),
+            self.buf_depth.len(),
+            self.burst.len(),
+            self.payload_flits.len(),
+            self.rates.len(),
+            self.seeds.len(),
+        ]
+        .into_iter()
+        .fold(1, usize::saturating_mul)
+    }
+
     /// Expands the cartesian product in deterministic axis order.
     pub fn expand(&self) -> Vec<SweepPoint> {
         let mut out = Vec::new();
@@ -176,6 +197,15 @@ impl SweepGrid {
 }
 
 impl SweepSpec {
+    /// Points [`SweepSpec::expand`] would produce, computed without
+    /// expanding.
+    pub fn point_count(&self) -> usize {
+        self.grids
+            .iter()
+            .map(SweepGrid::point_count)
+            .fold(0, usize::saturating_add)
+    }
+
     /// Expands every grid, in order.
     pub fn expand(&self) -> Vec<SweepPoint> {
         self.grids.iter().flat_map(SweepGrid::expand).collect()

@@ -3,7 +3,9 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use noc_bench::sweep::serve::{request, start, ClientOutcome, ServeOptions};
+use noc_bench::sweep::serve::{
+    request, start, ClientOutcome, ServeOptions, MAX_REQUEST_BYTES, MAX_REQUEST_POINTS,
+};
 use noc_bench::sweep::SweepSpec;
 use noc_obs::serve::{serve_status_request_line, serve_sweep_request_line, ServeEvent};
 use noc_obs::JsonValue;
@@ -243,5 +245,57 @@ fn status_and_error_paths_answer_over_tcp() {
     let outcome = request(&addr, &line, |_, _| {}).unwrap();
     assert_eq!(outcome.unique, 1);
     daemon.shutdown();
+    let _ = fs::remove_dir_all(&root);
+}
+
+/// Over-cap requests — a line past the byte cap, a grid past the points
+/// cap — are each refused with an error line, and the daemon goes on
+/// serving the next client.
+#[test]
+fn oversized_requests_are_refused_and_the_daemon_keeps_serving() {
+    let root = scratch("caps");
+    let daemon = start(&opts(&root)).unwrap();
+    let addr = daemon.addr().to_string();
+
+    let padded = format!(
+        "{{\"schema\":\"noc-serve/v1\",\"type\":\"status\",\"id\":\"{}\"}}",
+        "x".repeat(MAX_REQUEST_BYTES)
+    );
+    let err = request(&addr, &padded, |_, _| {}).unwrap_err();
+    assert!(
+        err.contains(&format!("line longer than {MAX_REQUEST_BYTES} bytes")),
+        "{err}"
+    );
+
+    let rates: Vec<String> = (1..=MAX_REQUEST_POINTS + 1)
+        .map(|i| format!("{}", i as f64 / 1e5))
+        .collect();
+    let huge = format!(
+        "{{\"name\":\"huge\",\"grids\":[{{\"topology\":\"mesh\",\"rates\":[{}]}}]}}",
+        rates.join(",")
+    );
+    let err = request(
+        &addr,
+        &serve_sweep_request_line("huge", &huge, None),
+        |_, _| {},
+    )
+    .unwrap_err();
+    assert!(
+        err.contains(&format!("{} points", MAX_REQUEST_POINTS + 1)),
+        "{err}"
+    );
+
+    let outcome = request(
+        &addr,
+        &serve_sweep_request_line("next", &spec_json(&[0.05]), None),
+        |_, _| {},
+    )
+    .unwrap();
+    assert_eq!(outcome.unique, 1, "the daemon still serves the next client");
+    assert_eq!(
+        daemon.shutdown().computed,
+        1,
+        "no over-cap point was computed"
+    );
     let _ = fs::remove_dir_all(&root);
 }

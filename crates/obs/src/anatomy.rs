@@ -29,8 +29,7 @@
 //! `noc-anatomy/v1` dumps are byte-identical across seq/par/active.
 
 use crate::hist::HdrHistogram;
-use crate::json::JsonValue;
-use crate::record::{esc, num};
+use crate::json::{JsonValue, JsonWriter};
 use std::collections::HashMap;
 use std::fmt::Write as _;
 
@@ -360,257 +359,145 @@ pub struct AnatomyHeader {
 impl AnatomyHeader {
     /// Serializes the header as one JSONL line (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\":\"{}\",\"digest\":\"{}\",\"label\":\"{}\",\"routers\":{},\
-             \"warmup\":{},\"measure\":{},\"capacity\":{},\"top_k\":{}}}",
-            ANATOMY_SCHEMA,
-            esc(&self.digest),
-            esc(&self.label),
-            self.routers,
-            self.warmup,
-            self.measure,
-            self.capacity,
-            self.top_k
-        )
+        JsonWriter::object(|w| {
+            w.key("schema").str(ANATOMY_SCHEMA);
+            w.key("digest").str(&self.digest);
+            w.key("label").str(&self.label);
+            w.key("routers").u64(self.routers as u64);
+            w.key("warmup").u64(self.warmup);
+            w.key("measure").u64(self.measure);
+            w.key("capacity").u64(self.capacity);
+            w.key("top_k").u64(self.top_k);
+        })
     }
 
     fn from_value(v: &JsonValue) -> Result<AnatomyHeader, String> {
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "anatomy header: missing schema".to_string())?;
+        let schema = v.str_field("schema")?;
         if schema != ANATOMY_SCHEMA {
-            return Err(format!(
-                "anatomy header: schema '{schema}' != '{ANATOMY_SCHEMA}'"
-            ));
+            return Err(format!("schema '{schema}' != '{ANATOMY_SCHEMA}'"));
         }
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("anatomy header: missing {key:?}"))
-        };
         Ok(AnatomyHeader {
-            digest: v
-                .get("digest")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| "anatomy header: missing digest".to_string())?
-                .to_string(),
-            label: v
-                .get("label")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            routers: u("routers")? as usize,
-            warmup: u("warmup")?,
-            measure: u("measure")?,
-            capacity: u("capacity")?,
-            top_k: u("top_k")?,
+            digest: v.str_field("digest")?.to_string(),
+            label: v.str_field("label").unwrap_or_default().to_string(),
+            routers: v.u64_field("routers")? as usize,
+            warmup: v.u64_field("warmup")?,
+            measure: v.u64_field("measure")?,
+            capacity: v.u64_field("capacity")?,
+            top_k: v.u64_field("top_k")?,
         })
     }
 }
 
-fn hist_json(h: &HdrHistogram) -> String {
-    let mut out = String::from("{\"min\":");
-    match h.min() {
-        Some(m) => {
-            let _ = write!(out, "{m}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"max\":");
-    match h.max() {
-        Some(m) => {
-            let _ = write!(out, "{m}");
-        }
-        None => out.push_str("null"),
-    }
-    out.push_str(",\"buckets\":[");
-    for (i, (lower, _, count)) in h.iter_buckets().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "[{lower},{count}]");
-    }
-    out.push_str("]}");
-    out
-}
-
-fn hist_from_value(v: &JsonValue) -> Result<HdrHistogram, String> {
-    let rows = v
-        .get("buckets")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "anatomy totals: histogram missing buckets".to_string())?;
-    let mut parts = Vec::with_capacity(rows.len());
-    for row in rows {
-        let cells = row
-            .as_array()
-            .filter(|c| c.len() == 2)
-            .ok_or_else(|| "anatomy totals: malformed histogram bucket".to_string())?;
-        let cell = |i: usize| -> Result<u64, String> {
-            cells[i]
-                .as_f64()
-                .map(|n| n as u64)
-                .ok_or_else(|| "anatomy totals: non-numeric bucket cell".to_string())
-        };
-        parts.push((cell(0)?, cell(1)?));
-    }
-    let bound = |key: &str| v.get(key).and_then(JsonValue::as_f64).map(|n| n as u64);
-    Ok(HdrHistogram::from_parts(
-        &parts,
-        bound("min").unwrap_or(0),
-        bound("max").unwrap_or(0),
-    ))
-}
-
-fn totals_jsonl(t: &AnatomyTotals) -> String {
-    let mut out = format!(
-        "{{\"packets\":{},\"requests\":{},\"replies\":{},\"dropped\":{},\"sums\":[",
-        t.packets, t.class_packets[0], t.class_packets[1], t.dropped
-    );
-    for (i, s) in t.sums.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{s}");
-    }
-    out.push_str("],\"hists\":[");
-    for (i, h) in t.hists.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&hist_json(h));
-    }
-    out.push_str("]}");
-    out
+fn write_totals(w: &mut JsonWriter, t: &AnatomyTotals) {
+    w.obj(|w| {
+        w.key("packets").u64(t.packets);
+        w.key("requests").u64(t.class_packets[0]);
+        w.key("replies").u64(t.class_packets[1]);
+        w.key("dropped").u64(t.dropped);
+        w.key("sums").u64s(t.sums);
+        w.key("hists").arr(|w| {
+            for h in &t.hists {
+                h.write_json(w);
+            }
+        });
+    });
 }
 
 fn totals_from_value(v: &JsonValue) -> Result<AnatomyTotals, String> {
-    let u = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("anatomy totals: missing {key:?}"))
-    };
-    let sums_arr = v
-        .get("sums")
-        .and_then(JsonValue::as_array)
-        .filter(|a| a.len() == STAGE_COUNT)
-        .ok_or_else(|| "anatomy totals: malformed sums".to_string())?;
-    let mut sums = [0u64; STAGE_COUNT];
-    for (i, s) in sums_arr.iter().enumerate() {
-        sums[i] = s
-            .as_f64()
-            .map(|n| n as u64)
-            .ok_or_else(|| "anatomy totals: non-numeric sum".to_string())?;
-    }
+    let sums = v.field("sums")?.as_u64_array().ok_or("malformed sums")?;
     let hist_rows = v
-        .get("hists")
-        .and_then(JsonValue::as_array)
+        .array_field("hists")
+        .ok()
         .filter(|a| a.len() == STAGE_COUNT + 1)
-        .ok_or_else(|| "anatomy totals: malformed hists".to_string())?;
-    let mut hists = Vec::with_capacity(STAGE_COUNT + 1);
-    for h in hist_rows {
-        hists.push(hist_from_value(h)?);
-    }
+        .ok_or("malformed hists")?;
     Ok(AnatomyTotals {
-        packets: u("packets")?,
-        class_packets: [u("requests")?, u("replies")?],
-        dropped: u("dropped")?,
+        packets: v.u64_field("packets")?,
+        class_packets: [v.u64_field("requests")?, v.u64_field("replies")?],
+        dropped: v.u64_field("dropped")?,
         sums,
-        hists,
+        hists: hist_rows
+            .iter()
+            .map(HdrHistogram::from_json)
+            .collect::<Result<_, _>>()?,
     })
 }
 
-fn packet_row(p: &PacketAnatomy) -> String {
-    let mut out = format!(
-        "[\"{:016x}\",{},{},{},{}",
-        p.packet_id, p.class, p.birth, p.eject, p.hops
-    );
-    for s in &p.stages {
-        let _ = write!(out, ",{s}");
-    }
-    out.push(']');
-    out
+fn write_packet_row(w: &mut JsonWriter, p: &PacketAnatomy) {
+    w.arr(|w| {
+        w.str(&format!("{:016x}", p.packet_id));
+        w.u64(p.class.into())
+            .u64(p.birth)
+            .u64(p.eject)
+            .u64(p.hops.into());
+        for &s in &p.stages {
+            w.u64(s);
+        }
+    });
 }
 
 fn packet_from_cells(cells: &[JsonValue]) -> Result<PacketAnatomy, String> {
     if cells.len() != 5 + STAGE_COUNT {
-        return Err("anatomy dump: malformed packet row".to_string());
+        return Err("malformed packet row".to_string());
     }
     let packet_id = cells[0]
         .as_str()
         .and_then(|s| u64::from_str_radix(s, 16).ok())
-        .ok_or_else(|| "anatomy dump: malformed packet id".to_string())?;
-    let cell = |i: usize| -> Result<u64, String> {
-        cells[i]
-            .as_f64()
-            .map(|n| n as u64)
-            .ok_or_else(|| "anatomy dump: non-numeric packet cell".to_string())
-    };
-    let mut stages = [0u64; STAGE_COUNT];
-    for (i, s) in stages.iter_mut().enumerate() {
-        *s = cell(5 + i)?;
+        .ok_or("malformed packet id")?;
+    let mut nums = [0u64; 4 + STAGE_COUNT];
+    for (n, c) in nums.iter_mut().zip(&cells[1..]) {
+        *n = c.as_u64().ok_or("non-numeric packet cell")?;
     }
+    let mut stages = [0u64; STAGE_COUNT];
+    stages.copy_from_slice(&nums[4..]);
     Ok(PacketAnatomy {
         packet_id,
-        class: cell(1)? as u8,
-        birth: cell(2)?,
-        eject: cell(3)?,
-        hops: cell(4)? as u32,
+        class: nums[0] as u8,
+        birth: nums[1],
+        eject: nums[2],
+        hops: nums[3] as u32,
         stages,
     })
 }
 
-fn waterfall_jsonl(w: &Waterfall) -> String {
-    let mut out = format!("{{\"slow\":{},\"hops\":[", packet_row(&w.packet));
-    for (i, h) in w.hops.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "[{},{},{},{},{},{},{},{},{}]",
-            h.router, h.in_port, h.in_vc, h.arrive, h.depart, h.vca, h.sa, h.credit, h.active
-        );
-    }
-    out.push_str("]}");
-    out
+fn write_waterfall(w: &mut JsonWriter, wf: &Waterfall) {
+    w.obj(|w| {
+        w.key("slow");
+        write_packet_row(w, &wf.packet);
+        w.key("hops").arr(|w| {
+            for h in &wf.hops {
+                w.u64s([
+                    h.router.into(),
+                    h.in_port.into(),
+                    h.in_vc.into(),
+                    h.arrive,
+                    h.depart,
+                    h.vca,
+                    h.sa,
+                    h.credit,
+                    h.active,
+                ]);
+            }
+        });
+    });
 }
 
 fn waterfall_from_value(v: &JsonValue) -> Result<Waterfall, String> {
-    let cells = v
-        .get("slow")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "anatomy dump: malformed slow row".to_string())?;
-    let packet = packet_from_cells(cells)?;
-    let rows = v
-        .get("hops")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "anatomy dump: slow row missing hops".to_string())?;
-    let mut hops = Vec::with_capacity(rows.len());
-    for row in rows {
-        let cells = row
-            .as_array()
-            .filter(|c| c.len() == 9)
-            .ok_or_else(|| "anatomy dump: malformed hop row".to_string())?;
-        let cell = |i: usize| -> Result<u64, String> {
-            cells[i]
-                .as_f64()
-                .map(|n| n as u64)
-                .ok_or_else(|| "anatomy dump: non-numeric hop cell".to_string())
-        };
+    let packet = packet_from_cells(v.array_field("slow")?)?;
+    let mut hops = Vec::new();
+    for row in v.array_field("hops")? {
+        let [router, in_port, in_vc, arrive, depart, vca, sa, credit, active] =
+            row.as_u64_array().ok_or("malformed hop row")?;
         hops.push(HopRecord {
             packet_id: packet.packet_id,
-            router: cell(0)? as u32,
-            in_port: cell(1)? as u16,
-            in_vc: cell(2)? as u16,
-            arrive: cell(3)?,
-            depart: cell(4)?,
-            vca: cell(5)?,
-            sa: cell(6)?,
-            credit: cell(7)?,
-            active: cell(8)?,
+            router: router as u32,
+            in_port: in_port as u16,
+            in_vc: in_vc as u16,
+            arrive,
+            depart,
+            vca,
+            sa,
+            credit,
+            active,
         });
     }
     Ok(Waterfall { packet, hops })
@@ -622,19 +509,22 @@ fn dump_jsonl(
     records: &[PacketAnatomy],
     slow: &[&Waterfall],
 ) -> String {
-    let mut out = header.to_json();
-    out.push('\n');
-    out.push_str(&totals_jsonl(totals));
-    out.push('\n');
+    let mut w = JsonWriter::new();
+    w.raw(&header.to_json()).newline();
+    write_totals(&mut w, totals);
+    w.newline();
     for p in records {
-        let _ = write!(out, "{{\"pkt\":{}}}", packet_row(p));
-        out.push('\n');
+        w.obj(|w| {
+            w.key("pkt");
+            write_packet_row(w, p);
+        });
+        w.newline();
     }
-    for w in slow {
-        out.push_str(&waterfall_jsonl(w));
-        out.push('\n');
+    for wf in slow {
+        write_waterfall(&mut w, wf);
+        w.newline();
     }
-    out
+    w.finish()
 }
 
 /// A parsed `noc-anatomy/v1` dump.
@@ -658,26 +548,29 @@ impl AnatomyDump {
         let first = lines
             .next()
             .ok_or_else(|| "empty anatomy dump".to_string())?;
-        let header = AnatomyHeader::from_value(&JsonValue::parse(first)?)?;
+        let header = JsonValue::parse(first)
+            .and_then(|v| AnatomyHeader::from_value(&v))
+            .map_err(|e| format!("anatomy header: {e}"))?;
         let second = lines
             .next()
             .ok_or_else(|| "anatomy dump: missing totals line".to_string())?;
-        let totals = totals_from_value(&JsonValue::parse(second)?)?;
+        let totals = JsonValue::parse(second)
+            .and_then(|v| totals_from_value(&v))
+            .map_err(|e| format!("anatomy totals: {e}"))?;
         let mut records = Vec::new();
         let mut slow = Vec::new();
         for (i, line) in lines.enumerate() {
-            let v = JsonValue::parse(line).map_err(|e| format!("dump line {}: {e}", i + 3))?;
-            if let Some(cells) = v.get("pkt").and_then(JsonValue::as_array) {
-                records.push(
-                    packet_from_cells(cells).map_err(|e| format!("dump line {}: {e}", i + 3))?,
-                );
-            } else if v.get("slow").is_some() {
-                slow.push(
-                    waterfall_from_value(&v).map_err(|e| format!("dump line {}: {e}", i + 3))?,
-                );
-            } else {
-                return Err(format!("dump line {}: unknown row kind", i + 3));
-            }
+            let row = JsonValue::parse(line).and_then(|v| {
+                if let Some(cells) = v.get("pkt").and_then(JsonValue::as_array) {
+                    records.push(packet_from_cells(cells)?);
+                } else if v.get("slow").is_some() {
+                    slow.push(waterfall_from_value(&v)?);
+                } else {
+                    return Err("unknown row kind".to_string());
+                }
+                Ok(())
+            });
+            row.map_err(|e| format!("anatomy dump line {}: {e}", i + 3))?;
         }
         Ok(AnatomyDump {
             header,
@@ -772,36 +665,29 @@ impl AnatomySummary {
 
     /// Serializes the report as one JSON object (NaN maps to null).
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"{}\",\"packets\":{},\"requests\":{},\"replies\":{},\"dropped\":{},\
-             \"stages\":{{",
-            ANATOMY_SCHEMA, self.packets, self.requests, self.replies, self.dropped
-        );
-        for i in 0..=STAGE_COUNT {
-            if i > 0 {
-                out.push(',');
-            }
-            let name = if i < STAGE_COUNT {
-                STAGE_NAMES[i]
-            } else {
-                "total"
-            };
-            let sum = if i < STAGE_COUNT {
-                self.sums[i]
-            } else {
-                self.total_sum()
-            };
-            let _ = write!(
-                out,
-                "\"{name}\":{{\"sum\":{sum},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-                num(self.mean[i]),
-                num(self.p50[i]),
-                num(self.p99[i]),
-                self.max[i]
-            );
-        }
-        out.push_str("}}");
-        out
+        JsonWriter::object(|w| {
+            w.key("schema").str(ANATOMY_SCHEMA);
+            w.key("packets").u64(self.packets);
+            w.key("requests").u64(self.requests);
+            w.key("replies").u64(self.replies);
+            w.key("dropped").u64(self.dropped);
+            w.key("stages").obj(|w| {
+                for i in 0..=STAGE_COUNT {
+                    let (name, sum) = if i < STAGE_COUNT {
+                        (STAGE_NAMES[i], self.sums[i])
+                    } else {
+                        ("total", self.total_sum())
+                    };
+                    w.key(name).obj(|w| {
+                        w.key("sum").u64(sum);
+                        w.key("mean").f64(self.mean[i]);
+                        w.key("p50").f64(self.p50[i]);
+                        w.key("p99").f64(self.p99[i]);
+                        w.key("max").u64(self.max[i]);
+                    });
+                }
+            });
+        })
     }
 
     /// Renders the per-stage breakdown table `noc explain` prints.

@@ -12,6 +12,7 @@
 
 use crate::anatomy::Waterfall;
 use crate::event::{FlitEvent, FlitEventKind};
+use crate::json::{write_str, JsonWriter};
 use crate::metrics::{MetricsRegistry, RouterObs};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -118,22 +119,26 @@ pub fn metrics_csv(routers: &[RouterObs], registry: Option<&MetricsRegistry>) ->
 /// Encodes the metrics as JSON lines (one object per row of the same long
 /// schema; absent coordinates are omitted).
 pub fn metrics_jsonl(routers: &[RouterObs], registry: Option<&MetricsRegistry>) -> String {
-    let mut out = String::new();
+    let mut w = JsonWriter::new();
     for row in rows(routers, registry) {
-        let _ = write!(out, "{{\"record\":\"{}\"", row.record);
-        if let Some(c) = row.cycle {
-            let _ = write!(out, ",\"cycle\":{c}");
-        }
-        let _ = write!(out, ",\"router\":{}", row.router);
-        if let Some(p) = row.port {
-            let _ = write!(out, ",\"port\":{p}");
-        }
-        if let Some(v) = row.vc {
-            let _ = write!(out, ",\"vc\":{v}");
-        }
-        let _ = writeln!(out, ",\"name\":\"{}\",\"value\":{}}}", row.name, row.value);
+        w.obj(|w| {
+            w.key("record").str(row.record);
+            if let Some(c) = row.cycle {
+                w.key("cycle").u64(c);
+            }
+            w.key("router").u64(row.router as u64);
+            if let Some(p) = row.port {
+                w.key("port").u64(p as u64);
+            }
+            if let Some(v) = row.vc {
+                w.key("vc").u64(v as u64);
+            }
+            w.key("name").str(row.name);
+            w.key("value").f64(row.value);
+        });
+        w.newline();
     }
-    out
+    w.finish()
 }
 
 /// Encodes a flit-event trace in the Chrome Trace Event Format.
@@ -174,11 +179,12 @@ pub fn chrome_trace(events: &[FlitEvent]) -> String {
     }
     for ev in events {
         sep(&mut out);
+        out.push_str("{\"name\":");
+        write_str(&mut out, ev.kind.name());
         let _ = write!(
             out,
-            "{{\"name\":\"{}\",\"cat\":\"flit\",\"ph\":\"X\",\"ts\":{},\"dur\":1,\
+            ",\"cat\":\"flit\",\"ph\":\"X\",\"ts\":{},\"dur\":1,\
              \"pid\":{},\"tid\":{},\"args\":{{\"packet\":\"{:x}\",\"flit\":{}}}}}",
-            ev.kind.name(),
             ev.cycle,
             ev.router,
             (ev.port as u32) * 256 + ev.vc as u32,
@@ -222,9 +228,11 @@ pub fn anatomy_chrome_trace(slow: &[&Waterfall]) -> String {
             return;
         }
         sep(out, first);
+        out.push_str("{\"name\":");
+        write_str(out, name);
         let _ = write!(
             out,
-            "{{\"name\":\"{name}\",\"cat\":\"anatomy\",\"ph\":\"X\",\"ts\":{ts},\
+            ",\"cat\":\"anatomy\",\"ph\":\"X\",\"ts\":{ts},\
              \"dur\":{dur},\"pid\":{pid},\"tid\":{tid},\"args\":{{\"packet\":\"{packet:x}\"}}}}"
         );
     }
@@ -335,44 +343,33 @@ pub fn sweep_manifest_json(
     wall_ms: u64,
     points: &[SweepManifestPoint],
 ) -> String {
-    let esc = |s: &str| s.replace('\\', "\\\\").replace('"', "\\\"");
-    let mut out = String::from("{\"schema\":\"noc-sweep-manifest/v1\"");
-    let _ = write!(
-        out,
-        ",\"name\":\"{}\",\"sweep_schema\":\"{}\",\"spec_digest\":\"{}\"",
-        esc(name),
-        esc(schema),
-        esc(spec_digest)
-    );
-    let _ = write!(
-        out,
-        ",\"points\":{},\"computed\":{computed},\"cache_hits\":{cache_hits},\
-         \"journal_skips\":{journal_skips},\"wall_ms\":{wall_ms}",
-        points.len()
-    );
-    out.push_str(",\"results\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"label\":\"{}\",\"digest\":\"{}\",\"source\":\"{}\",\"wall_ms\":{}",
-            esc(&p.label),
-            esc(&p.digest),
-            p.source,
-            p.wall_ms
-        );
-        if let Some(t) = &p.telemetry {
-            let _ = write!(out, ",\"telemetry\":\"{}\"", esc(t));
-        }
-        if let Some(a) = &p.anatomy {
-            let _ = write!(out, ",\"anatomy\":\"{}\"", esc(a));
-        }
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    JsonWriter::object(|w| {
+        w.key("schema").str("noc-sweep-manifest/v1");
+        w.key("name").str(name);
+        w.key("sweep_schema").str(schema);
+        w.key("spec_digest").str(spec_digest);
+        w.key("points").u64(points.len() as u64);
+        w.key("computed").u64(computed as u64);
+        w.key("cache_hits").u64(cache_hits as u64);
+        w.key("journal_skips").u64(journal_skips as u64);
+        w.key("wall_ms").u64(wall_ms);
+        w.key("results").arr(|w| {
+            for p in points {
+                w.obj(|w| {
+                    w.key("label").str(&p.label);
+                    w.key("digest").str(&p.digest);
+                    w.key("source").str(p.source);
+                    w.key("wall_ms").u64(p.wall_ms);
+                    if let Some(t) = &p.telemetry {
+                        w.key("telemetry").str(t);
+                    }
+                    if let Some(a) = &p.anatomy {
+                        w.key("anatomy").str(a);
+                    }
+                });
+            }
+        });
+    })
 }
 
 /// Encodes a percentile table (as produced by
@@ -381,30 +378,22 @@ pub fn sweep_manifest_json(
 /// `null`. Quantiles are named by their value in basis points of 100
 /// (`0.999` → `"p999"`, `1.0` → `"max"`).
 pub fn percentile_table_json(table: &[(f64, f64)]) -> String {
-    let mut out = String::from("{");
-    for (i, (q, v)) in table.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let name = if *q >= 1.0 {
-            "max".to_string()
-        } else {
-            // 0.5 -> p50, 0.99 -> p99, 0.999 -> p999.
-            let pct = q * 100.0;
-            if pct.fract().abs() < 1e-9 {
-                format!("p{}", pct.round() as u64)
+    JsonWriter::object(|w| {
+        for &(q, v) in table {
+            let name = if q >= 1.0 {
+                "max".to_string()
             } else {
-                format!("p{}", (q * 1000.0).round() as u64)
-            }
-        };
-        if v.is_finite() {
-            let _ = write!(out, "\"{name}\":{v}");
-        } else {
-            let _ = write!(out, "\"{name}\":null");
+                // 0.5 -> p50, 0.99 -> p99, 0.999 -> p999.
+                let pct = q * 100.0;
+                if pct.fract().abs() < 1e-9 {
+                    format!("p{}", pct.round() as u64)
+                } else {
+                    format!("p{}", (q * 1000.0).round() as u64)
+                }
+            };
+            w.key(&name).f64(v);
         }
-    }
-    out.push('}');
-    out
+    })
 }
 
 #[cfg(test)]

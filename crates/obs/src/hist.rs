@@ -9,6 +9,8 @@
 //! old power-of-two histogram whose p99 for a 100-cycle tail could only be
 //! reported as "≤ 128".
 
+use crate::json::{JsonValue, JsonWriter};
+
 /// Log-linear histogram over `u64` values with bounded relative error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct HdrHistogram {
@@ -198,6 +200,32 @@ impl HdrHistogram {
                 let lower = Self::bucket_lower(i);
                 (lower, lower + Self::bucket_width(i), c)
             })
+    }
+
+    /// Writes the histogram as `{"min":..,"max":..,"buckets":[[lower,count],..]}`
+    /// — exact extremes (`null` when empty) plus every non-empty bucket —
+    /// the one encoding [`HdrHistogram::from_json`] reads back losslessly.
+    pub fn write_json(&self, w: &mut JsonWriter) {
+        w.obj(|w| {
+            w.key("min").opt_u64(self.min());
+            w.key("max").opt_u64(self.max());
+            w.key("buckets").arr(|w| {
+                for (lower, _, count) in self.iter_buckets() {
+                    w.u64s([lower, count]);
+                }
+            });
+        });
+    }
+
+    /// Reads the encoding of [`HdrHistogram::write_json`].
+    pub fn from_json(v: &JsonValue) -> Result<HdrHistogram, String> {
+        let mut parts = Vec::new();
+        for row in v.array_field("buckets")? {
+            let [lower, count] = row.as_u64_array().ok_or("malformed histogram bucket")?;
+            parts.push((lower, count));
+        }
+        let bound = |key| v.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
+        Ok(HdrHistogram::from_parts(&parts, bound("min"), bound("max")))
     }
 }
 

@@ -1,11 +1,23 @@
-//! A tiny dependency-free JSON reader.
+//! The workspace's JSON codec: a strict reader ([`JsonValue`]) and a
+//! writer ([`JsonWriter`]), both dependency-free.
 //!
-//! The build environment has no crates.io access, so the workspace carries
-//! its own minimal parser: strict RFC 8259 syntax, numbers as `f64`,
-//! objects as ordered key/value vectors. It exists so that the bench
-//! harness can read baseline `BENCH_*.json` files and tests can round-trip
-//! the simulator's JSON summaries (including the NaN → `null` mapping)
-//! without an external crate.
+//! The workspace builds without crates.io, so it carries its own. The
+//! reader accepts strict RFC 8259 syntax, holds numbers as
+//! `f64` and objects as ordered key/value vectors, and offers typed field
+//! getters for the schema decoders. The writer owns the format every
+//! emitter shares, so one rule set decides the bytes of every result,
+//! dump, journal, report and wire line:
+//!
+//! - strings escape the quote, the backslash, newline, tab and carriage
+//!   return by name (`\"`, `\\`, `\n`, `\t`, `\r`) and every other control
+//!   character as `\u00xx` ([`write_str`]);
+//! - floats print in Rust's shortest round-trip form, and NaN and the
+//!   infinities, which JSON cannot express, print as `null`
+//!   ([`JsonWriter::f64`]); the reader maps `null` back to NaN;
+//! - members and elements are separated by a bare `,`, keys by a bare
+//!   `:`, with no whitespace.
+
+use std::fmt::Write as _;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -83,14 +95,233 @@ impl JsonValue {
         matches!(self, JsonValue::Null)
     }
 
-    /// Member `key` as a number, mapping `null` (the JSON encoding of
-    /// NaN/inf in this workspace) back to NaN. Missing keys and
-    /// non-numbers are also NaN.
-    pub fn num_or_nan(&self, key: &str) -> f64 {
-        match self.get(key) {
-            Some(JsonValue::Num(n)) => *n,
-            _ => f64::NAN,
+    /// The number value truncated to an unsigned integer, if this is a
+    /// number (the reader holds every number as `f64`).
+    pub fn as_u64(&self) -> Option<u64> {
+        self.as_f64().map(|n| n as u64)
+    }
+
+    /// The elements as unsigned integers, if this is an array of exactly
+    /// `N` numbers (the fixed-width rows of the dump formats).
+    pub fn as_u64_array<const N: usize>(&self) -> Option<[u64; N]> {
+        let cells = self.as_array().filter(|c| c.len() == N)?;
+        let mut out = [0u64; N];
+        for (o, c) in out.iter_mut().zip(cells) {
+            *o = c.as_u64()?;
         }
+        Some(out)
+    }
+
+    /// Member `key` read through `typed`; absent and mistyped members
+    /// share the one "missing field" error every schema decoder reports.
+    fn member<'a, T>(
+        &'a self,
+        key: &str,
+        typed: impl FnOnce(&'a JsonValue) -> Option<T>,
+    ) -> Result<T, String> {
+        self.get(key)
+            .and_then(typed)
+            .ok_or_else(|| format!("missing field {key:?}"))
+    }
+
+    /// Member `key`, which must be present.
+    pub fn field(&self, key: &str) -> Result<&JsonValue, String> {
+        self.member(key, Some)
+    }
+
+    /// Member `key` as an unsigned integer.
+    pub fn u64_field(&self, key: &str) -> Result<u64, String> {
+        self.member(key, JsonValue::as_u64)
+    }
+
+    /// Member `key` as a number, mapping `null` (how [`JsonWriter::f64`]
+    /// encodes NaN and the infinities) back to NaN.
+    pub fn f64_field(&self, key: &str) -> Result<f64, String> {
+        self.member(key, |v| v.as_f64().or(v.is_null().then_some(f64::NAN)))
+    }
+
+    /// Member `key` as a string.
+    pub fn str_field(&self, key: &str) -> Result<&str, String> {
+        self.member(key, JsonValue::as_str)
+    }
+
+    /// Member `key` as an array.
+    pub fn array_field(&self, key: &str) -> Result<&[JsonValue], String> {
+        self.member(key, JsonValue::as_array)
+    }
+
+    /// Member `key` as a number, with `null`, missing keys and
+    /// non-numbers all read as NaN.
+    pub fn num_or_nan(&self, key: &str) -> f64 {
+        self.f64_field(key).unwrap_or(f64::NAN)
+    }
+}
+
+/// Appends `s` to `out` as a JSON string literal, quotes included.
+pub fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    let mut start = 0;
+    // Every byte that needs escaping is ASCII, so each split point is a
+    // char boundary.
+    for (i, b) in s.bytes().enumerate() {
+        let named = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[start..i]);
+        if named.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(named);
+        }
+        start = i + 1;
+    }
+    out.push_str(&s[start..]);
+    out.push('"');
+}
+
+/// Builds one compact JSON document, inserting the separators itself.
+///
+/// Values written in a row become array elements or object members;
+/// [`JsonWriter::key`] names the next value. Nested containers are
+/// written by closures, so every container the writer opens it closes:
+///
+/// ```
+/// use noc_obs::json::JsonWriter;
+/// let mut w = JsonWriter::new();
+/// w.obj(|w| {
+///     w.key("id").str("c1").key("rates").arr(|w| {
+///         w.f64(0.1).f64(f64::NAN);
+///     });
+/// });
+/// assert_eq!(w.finish(), r#"{"id":"c1","rates":[0.1,null]}"#);
+/// ```
+#[derive(Debug, Default)]
+pub struct JsonWriter {
+    out: String,
+    /// Whether the next member or element needs a `,` before it.
+    comma: bool,
+}
+
+impl JsonWriter {
+    /// An empty writer.
+    pub fn new() -> JsonWriter {
+        JsonWriter::default()
+    }
+
+    /// One object document whose members `f` writes.
+    pub fn object(f: impl FnOnce(&mut JsonWriter)) -> String {
+        let mut w = JsonWriter::new();
+        w.obj(f);
+        w.finish()
+    }
+
+    /// The document written so far.
+    pub fn finish(self) -> String {
+        self.out
+    }
+
+    fn sep(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+
+    /// Ends a JSON Lines record: the next value starts a new top-level
+    /// document on the next line.
+    pub fn newline(&mut self) -> &mut Self {
+        self.out.push('\n');
+        self.comma = false;
+        self
+    }
+
+    /// Names the next value as an object member.
+    pub fn key(&mut self, key: &str) -> &mut Self {
+        self.sep();
+        write_str(&mut self.out, key);
+        self.out.push(':');
+        self.comma = false;
+        self
+    }
+
+    /// A string value.
+    pub fn str(&mut self, s: &str) -> &mut Self {
+        self.sep();
+        write_str(&mut self.out, s);
+        self
+    }
+
+    /// A float value: shortest round-trip form, or `null` for NaN and
+    /// the infinities, which JSON cannot express.
+    pub fn f64(&mut self, v: f64) -> &mut Self {
+        if !v.is_finite() {
+            return self.raw("null");
+        }
+        self.sep();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// An unsigned integer value.
+    pub fn u64(&mut self, v: u64) -> &mut Self {
+        self.sep();
+        let _ = write!(self.out, "{v}");
+        self
+    }
+
+    /// An unsigned integer value, or `null` for `None`.
+    pub fn opt_u64(&mut self, v: Option<u64>) -> &mut Self {
+        match v {
+            Some(v) => self.u64(v),
+            None => self.raw("null"),
+        }
+    }
+
+    /// A boolean value.
+    pub fn bool(&mut self, v: bool) -> &mut Self {
+        self.raw(if v { "true" } else { "false" })
+    }
+
+    /// An already-encoded JSON value, embedded verbatim.
+    pub fn raw(&mut self, json: &str) -> &mut Self {
+        self.sep();
+        self.out.push_str(json);
+        self
+    }
+
+    /// An object whose members `f` writes.
+    pub fn obj(&mut self, f: impl FnOnce(&mut JsonWriter)) -> &mut Self {
+        self.container('{', '}', f)
+    }
+
+    /// An array whose elements `f` writes.
+    pub fn arr(&mut self, f: impl FnOnce(&mut JsonWriter)) -> &mut Self {
+        self.container('[', ']', f)
+    }
+
+    /// An array of unsigned integers.
+    pub fn u64s(&mut self, vs: impl IntoIterator<Item = u64>) -> &mut Self {
+        self.arr(|w| {
+            for v in vs {
+                w.u64(v);
+            }
+        })
+    }
+
+    fn container(&mut self, open: char, close: char, f: impl FnOnce(&mut JsonWriter)) -> &mut Self {
+        self.sep();
+        self.out.push(open);
+        self.comma = false;
+        f(self);
+        self.out.push(close);
+        self.comma = true;
+        self
     }
 }
 
@@ -304,6 +535,63 @@ mod tests {
         assert!(v.num_or_nan("x").is_nan());
         assert!(v.num_or_nan("missing").is_nan());
         assert_eq!(v.num_or_nan("y"), 4.0);
+    }
+
+    #[test]
+    fn typed_getters_share_one_missing_field_error() {
+        let v = JsonValue::parse(r#"{"n": 3, "x": null, "s": "t", "a": [1, 2]}"#).unwrap();
+        assert_eq!(v.u64_field("n"), Ok(3));
+        assert!(v.f64_field("x").unwrap().is_nan());
+        assert_eq!(v.str_field("s"), Ok("t"));
+        assert_eq!(v.field("a").unwrap().as_u64_array(), Some([1, 2]));
+        assert_eq!(v.field("a").unwrap().as_u64_array::<3>(), None);
+        for err in [
+            v.u64_field("s").unwrap_err(),
+            v.str_field("gone").unwrap_err(),
+            v.array_field("n").map(|_| ()).unwrap_err(),
+        ] {
+            assert!(err.starts_with("missing field"), "{err}");
+        }
+    }
+
+    #[test]
+    fn writer_escapes_every_control_character_and_round_trips() {
+        let all: String = (0u8..0x80).map(char::from).chain("é→😀".chars()).collect();
+        let mut w = JsonWriter::new();
+        w.str(&all);
+        let doc = w.finish();
+        for escaped in [
+            r#""\u0000\u0001"#,
+            r"\t\n\u000b\u000c\r\u000e",
+            r##"!\"#"##,
+            r"[\\]",
+        ] {
+            assert!(doc.contains(escaped), "{escaped} missing from {doc}");
+        }
+        assert_eq!(JsonValue::parse(&doc).unwrap().as_str(), Some(all.as_str()));
+    }
+
+    #[test]
+    fn writer_inserts_separators_and_maps_non_finite_to_null() {
+        let doc = JsonWriter::object(|w| {
+            w.key("a").u64s([1, 2]);
+            w.key("b").obj(|w| {
+                w.key("c").f64(f64::INFINITY).key("d").f64(-0.5);
+            });
+            w.key("e")
+                .opt_u64(None)
+                .key("f")
+                .bool(true)
+                .key("g")
+                .raw("{}");
+        });
+        assert_eq!(
+            doc,
+            r#"{"a":[1,2],"b":{"c":null,"d":-0.5},"e":null,"f":true,"g":{}}"#
+        );
+        let mut lines = JsonWriter::new();
+        lines.u64(1).newline().str("x").newline();
+        assert_eq!(lines.finish(), "1\n\"x\"\n");
     }
 
     #[test]

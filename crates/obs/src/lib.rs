@@ -26,8 +26,10 @@
 //!   VC allocation, switch allocation, traversal, credits); the no-op
 //!   implementation compiles every clock read away, mirroring the sink
 //!   design.
-//! - [`json`]: a tiny strict JSON reader, so bench baselines and JSON
-//!   summaries can be parsed without external dependencies.
+//! - [`json`]: the one JSON codec — a strict reader ([`JsonValue`]) with
+//!   typed field getters, and a writer ([`JsonWriter`]) that owns string
+//!   escaping, the number rule (shortest round-trip, non-finite → `null`)
+//!   and the separators of every document this workspace emits.
 //! - [`digest`]: order-sensitive FNV-1a trace digests ([`DigestSink`]),
 //!   the substrate of the cycle-exact engine-equivalence and golden-trace
 //!   test layers.
@@ -77,7 +79,7 @@ pub use export::{
     percentile_table_json, sweep_manifest_json, SweepManifestPoint,
 };
 pub use hist::{HdrHistogram, DEFAULT_QUANTILES};
-pub use json::{validate_json, JsonValue};
+pub use json::{validate_json, JsonValue, JsonWriter};
 pub use metrics::{GaugeSample, MetricsRegistry, RouterBreakdown, RouterObs, StallCounters};
 pub use profile::{NopProfiler, Phase, PhaseProfiler, Profiler, PHASES};
 pub use progress::ProgressMeter;

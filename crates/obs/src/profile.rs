@@ -9,7 +9,7 @@
 //! and the run driver stamps the total wall time and cycle count so the
 //! report can express each phase as a share of the run.
 
-use std::fmt::Write as _;
+use crate::json::JsonWriter;
 
 /// Router-pipeline phase a measurement is attributed to.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -146,39 +146,22 @@ impl Profiler {
     /// One JSON object: totals, cycles/sec, and per-phase
     /// nanos/share/events.
     pub fn to_json(&self) -> String {
-        let num = |v: f64| {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        };
         let shares = self.shares();
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"cycles\":{},\"wall_nanos\":{},\"cycles_per_sec\":{},\"other_share\":{}",
-            self.cycles,
-            self.wall_nanos,
-            num(self.cycles_per_sec()),
-            num(self.other_share())
-        );
-        out.push_str(",\"phases\":{");
-        for (i, p) in PHASES.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"nanos\":{},\"share\":{},\"events\":{}}}",
-                p.name(),
-                self.phase_nanos[i],
-                num(shares[i]),
-                self.phase_events[i]
-            );
-        }
-        out.push_str("}}");
-        out
+        JsonWriter::object(|w| {
+            w.key("cycles").u64(self.cycles);
+            w.key("wall_nanos").u64(self.wall_nanos);
+            w.key("cycles_per_sec").f64(self.cycles_per_sec());
+            w.key("other_share").f64(self.other_share());
+            w.key("phases").obj(|w| {
+                for (i, p) in PHASES.iter().enumerate() {
+                    w.key(p.name()).obj(|w| {
+                        w.key("nanos").u64(self.phase_nanos[i]);
+                        w.key("share").f64(shares[i]);
+                        w.key("events").u64(self.phase_events[i]);
+                    });
+                }
+            });
+        })
     }
 }
 

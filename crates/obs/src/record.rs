@@ -14,38 +14,11 @@
 //! [`FlightRecorder`](crate::FlightRecorder) or a parsed dump, so
 //! `noc replay <dump>` reproduces the in-process summary byte for byte.
 
-use crate::json::JsonValue;
+use crate::json::{JsonValue, JsonWriter};
 use crate::timeseries::{FlightRecorder, RouterCounters, WindowSnapshot};
-use std::fmt::Write as _;
 
 /// Schema tag written into every dump header and summary block.
 pub const TELEMETRY_SCHEMA: &str = "noc-telemetry/v1";
-
-pub(crate) fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-pub(crate) fn num(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Identity and sampling parameters of a telemetry dump (the first JSONL
 /// line).
@@ -72,52 +45,31 @@ pub struct TelemetryHeader {
 impl TelemetryHeader {
     /// Serializes the header as one JSONL line (no trailing newline).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema\":\"{}\",\"digest\":\"{}\",\"label\":\"{}\",\"window\":{},\
-             \"match_every\":{},\"routers\":{},\"warmup\":{},\"measure\":{}}}",
-            TELEMETRY_SCHEMA,
-            esc(&self.digest),
-            esc(&self.label),
-            self.window,
-            self.match_every,
-            self.routers,
-            self.warmup,
-            self.measure
-        )
+        JsonWriter::object(|w| {
+            w.key("schema").str(TELEMETRY_SCHEMA);
+            w.key("digest").str(&self.digest);
+            w.key("label").str(&self.label);
+            w.key("window").u64(self.window);
+            w.key("match_every").u64(self.match_every);
+            w.key("routers").u64(self.routers as u64);
+            w.key("warmup").u64(self.warmup);
+            w.key("measure").u64(self.measure);
+        })
     }
 
     fn from_value(v: &JsonValue) -> Result<TelemetryHeader, String> {
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or_else(|| "telemetry header: missing schema".to_string())?;
+        let schema = v.str_field("schema")?;
         if schema != TELEMETRY_SCHEMA {
-            return Err(format!(
-                "telemetry header: schema '{schema}' != '{TELEMETRY_SCHEMA}'"
-            ));
+            return Err(format!("schema '{schema}' != '{TELEMETRY_SCHEMA}'"));
         }
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("telemetry header: missing {key:?}"))
-        };
         Ok(TelemetryHeader {
-            digest: v
-                .get("digest")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| "telemetry header: missing digest".to_string())?
-                .to_string(),
-            label: v
-                .get("label")
-                .and_then(JsonValue::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            window: u("window")?,
-            match_every: u("match_every")?,
-            routers: u("routers")? as usize,
-            warmup: u("warmup")?,
-            measure: u("measure")?,
+            digest: v.str_field("digest")?.to_string(),
+            label: v.str_field("label").unwrap_or_default().to_string(),
+            window: v.u64_field("window")?,
+            match_every: v.u64_field("match_every")?,
+            routers: v.u64_field("routers")? as usize,
+            warmup: v.u64_field("warmup")?,
+            measure: v.u64_field("measure")?,
         })
     }
 }
@@ -126,77 +78,55 @@ impl TelemetryHeader {
 /// Router rows are fixed-order 10-tuples:
 /// `[out_flits, occupancy, busy_vcs, active, credit, vca, sa, empty,
 /// match_granted, match_max]`.
-pub fn window_jsonl(w: &WindowSnapshot) -> String {
-    let mut out = format!(
-        "{{\"window\":{},\"cycle\":{},\"injected\":{},\"ejected\":{},\"in_flight\":{},\
-         \"routers\":[",
-        w.window, w.cycle, w.injected, w.ejected, w.in_flight
-    );
-    for (i, r) in w.routers.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "[{},{},{},{},{},{},{},{},{},{}]",
-            r.out_flits,
-            r.occupancy,
-            r.busy_vcs,
-            r.active,
-            r.credit_stall,
-            r.vca_stall,
-            r.sa_stall,
-            r.empty,
-            r.match_granted,
-            r.match_max
-        );
-    }
-    out.push_str("]}");
-    out
+pub fn window_jsonl(s: &WindowSnapshot) -> String {
+    JsonWriter::object(|w| {
+        w.key("window").u64(s.window);
+        w.key("cycle").u64(s.cycle);
+        w.key("injected").u64(s.injected);
+        w.key("ejected").u64(s.ejected);
+        w.key("in_flight").u64(s.in_flight);
+        w.key("routers").arr(|w| {
+            for r in &s.routers {
+                w.u64s([
+                    r.out_flits,
+                    r.occupancy.into(),
+                    r.busy_vcs.into(),
+                    r.active,
+                    r.credit_stall,
+                    r.vca_stall,
+                    r.sa_stall,
+                    r.empty,
+                    r.match_granted,
+                    r.match_max,
+                ]);
+            }
+        });
+    })
 }
 
 fn window_from_value(v: &JsonValue) -> Result<WindowSnapshot, String> {
-    let u = |key: &str| -> Result<u64, String> {
-        v.get(key)
-            .and_then(JsonValue::as_f64)
-            .map(|n| n as u64)
-            .ok_or_else(|| format!("telemetry window: missing {key:?}"))
-    };
-    let rows = v
-        .get("routers")
-        .and_then(JsonValue::as_array)
-        .ok_or_else(|| "telemetry window: missing routers".to_string())?;
-    let mut routers = Vec::with_capacity(rows.len());
-    for row in rows {
-        let cells = row
-            .as_array()
-            .filter(|c| c.len() == 10)
-            .ok_or_else(|| "telemetry window: malformed router row".to_string())?;
-        let cell = |i: usize| -> Result<u64, String> {
-            cells[i]
-                .as_f64()
-                .map(|n| n as u64)
-                .ok_or_else(|| "telemetry window: non-numeric router cell".to_string())
-        };
+    let mut routers = Vec::new();
+    for row in v.array_field("routers")? {
+        let c: [u64; 10] = row.as_u64_array().ok_or("malformed router row")?;
         routers.push(RouterCounters {
-            out_flits: cell(0)?,
-            occupancy: cell(1)? as u32,
-            busy_vcs: cell(2)? as u32,
-            active: cell(3)?,
-            credit_stall: cell(4)?,
-            vca_stall: cell(5)?,
-            sa_stall: cell(6)?,
-            empty: cell(7)?,
-            match_granted: cell(8)?,
-            match_max: cell(9)?,
+            out_flits: c[0],
+            occupancy: c[1] as u32,
+            busy_vcs: c[2] as u32,
+            active: c[3],
+            credit_stall: c[4],
+            vca_stall: c[5],
+            sa_stall: c[6],
+            empty: c[7],
+            match_granted: c[8],
+            match_max: c[9],
         });
     }
     Ok(WindowSnapshot {
-        window: u("window")?,
-        cycle: u("cycle")?,
-        injected: u("injected")?,
-        ejected: u("ejected")?,
-        in_flight: u("in_flight")?,
+        window: v.u64_field("window")?,
+        cycle: v.u64_field("cycle")?,
+        injected: v.u64_field("injected")?,
+        ejected: v.u64_field("ejected")?,
+        in_flight: v.u64_field("in_flight")?,
         routers,
     })
 }
@@ -218,11 +148,14 @@ impl TelemetryDump {
         let first = lines
             .next()
             .ok_or_else(|| "empty telemetry dump".to_string())?;
-        let header = TelemetryHeader::from_value(&JsonValue::parse(first)?)?;
+        let header = JsonValue::parse(first)
+            .and_then(|v| TelemetryHeader::from_value(&v))
+            .map_err(|e| format!("telemetry header: {e}"))?;
         let mut windows = Vec::new();
         for (i, line) in lines.enumerate() {
-            let v = JsonValue::parse(line).map_err(|e| format!("dump line {}: {e}", i + 2))?;
-            windows.push(window_from_value(&v).map_err(|e| format!("dump line {}: {e}", i + 2))?);
+            let window = JsonValue::parse(line).and_then(|v| window_from_value(&v));
+            windows
+                .push(window.map_err(|e| format!("dump line {}: telemetry window: {e}", i + 2))?);
         }
         Ok(TelemetryDump { header, windows })
     }
@@ -301,70 +234,41 @@ impl TelemetrySummary {
     /// use shortest-roundtrip formatting, so the block round-trips
     /// bit-exactly through [`TelemetrySummary::from_value`].
     pub fn to_json(&self) -> String {
-        let mut out = format!(
-            "{{\"schema\":\"{}\",\"window\":{},\"windows\":{},\"max_stalled_windows\":{},\
-             \"efficiency\":[",
-            TELEMETRY_SCHEMA, self.window, self.windows, self.max_stalled_windows
-        );
-        for (i, e) in self.efficiency.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&num(*e));
-        }
-        out.push_str("],\"flits\":[");
-        for (i, f) in self.flits.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{f}");
-        }
-        out.push_str("],\"in_flight\":[");
-        for (i, f) in self.in_flight.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{f}");
-        }
-        out.push_str("]}");
-        out
+        JsonWriter::object(|w| {
+            w.key("schema").str(TELEMETRY_SCHEMA);
+            w.key("window").u64(self.window);
+            w.key("windows").u64(self.windows);
+            w.key("max_stalled_windows").u64(self.max_stalled_windows);
+            w.key("efficiency").arr(|w| {
+                for &e in &self.efficiency {
+                    w.f64(e);
+                }
+            });
+            w.key("flits").u64s(self.flits.iter().copied());
+            w.key("in_flight").u64s(self.in_flight.iter().copied());
+        })
     }
 
     /// Reconstructs a summary from its parsed JSON object.
     pub fn from_value(v: &JsonValue) -> Result<TelemetrySummary, String> {
-        let u = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("telemetry summary: missing {key:?}"))
-        };
         let u64s = |key: &str| -> Result<Vec<u64>, String> {
-            v.get(key)
-                .and_then(JsonValue::as_array)
-                .ok_or_else(|| format!("telemetry summary: missing {key:?}"))?
+            v.array_field(key)?
                 .iter()
                 .map(|x| {
-                    x.as_f64()
-                        .map(|n| n as u64)
-                        .ok_or_else(|| format!("telemetry summary: non-numeric {key:?} entry"))
+                    x.as_u64()
+                        .ok_or_else(|| format!("non-numeric {key:?} entry"))
                 })
                 .collect()
         };
-        let efficiency = v
-            .get("efficiency")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "telemetry summary: missing efficiency".to_string())?
-            .iter()
-            .map(|x| match x {
-                JsonValue::Num(n) => *n,
-                _ => f64::NAN,
-            })
-            .collect();
         Ok(TelemetrySummary {
-            window: u("window")?,
-            windows: u("windows")?,
-            max_stalled_windows: u("max_stalled_windows")?,
-            efficiency,
+            window: v.u64_field("window")?,
+            windows: v.u64_field("windows")?,
+            max_stalled_windows: v.u64_field("max_stalled_windows")?,
+            efficiency: v
+                .array_field("efficiency")?
+                .iter()
+                .map(|x| x.as_f64().unwrap_or(f64::NAN))
+                .collect(),
             flits: u64s("flits")?,
             in_flight: u64s("in_flight")?,
         })

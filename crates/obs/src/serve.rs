@@ -39,28 +39,26 @@
 //! request put on the worker queue, `cache_hits` served immediately,
 //! `coalesced` de-duplicated onto another client's in-flight work.
 
-use crate::json::JsonValue;
-use std::fmt::Write as _;
+use crate::json::{JsonValue, JsonWriter};
 
 /// Wire schema tag carried by every request and response line.
 pub const SERVE_SCHEMA: &str = "noc-serve/v1";
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// One wire line: the schema tag, `type` and `id` members, then whatever
+/// members `rest` writes.
+fn line(kind: &str, id: &str, rest: impl FnOnce(&mut JsonWriter)) -> String {
+    JsonWriter::object(|w| {
+        w.key("schema").str(SERVE_SCHEMA);
+        w.key("type").str(kind);
+        w.key("id").str(id);
+        rest(w);
+    })
+}
+
+fn engine_member(w: &mut JsonWriter, engine: Option<&str>) {
+    if let Some(e) = engine {
+        w.key("engine").str(e);
     }
-    out
 }
 
 /// A `sweep` request line embedding an already-validated sweep-spec JSON
@@ -69,44 +67,33 @@ fn esc(s: &str) -> String {
 /// line-framed, and JSON strings cannot contain literal newlines, so the
 /// collapse never alters content.
 pub fn serve_sweep_request_line(id: &str, spec_json: &str, engine: Option<&str>) -> String {
-    let engine = engine
-        .map(|e| format!(",\"engine\":\"{}\"", esc(e)))
-        .unwrap_or_default();
     let spec = spec_json.replace(['\n', '\r'], " ");
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"sweep\",\"id\":\"{}\"{engine},\"spec\":{}}}",
-        esc(id),
-        spec.trim()
-    )
+    line("sweep", id, |w| {
+        engine_member(w, engine);
+        w.key("spec").raw(spec.trim());
+    })
 }
 
 /// A `preset` request line naming an in-repo sweep preset.
 pub fn serve_preset_request_line(id: &str, preset: &str, engine: Option<&str>) -> String {
-    let engine = engine
-        .map(|e| format!(",\"engine\":\"{}\"", esc(e)))
-        .unwrap_or_default();
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"preset\",\"id\":\"{}\"{engine},\"preset\":\"{}\"}}",
-        esc(id),
-        esc(preset)
-    )
+    line("preset", id, |w| {
+        engine_member(w, engine);
+        w.key("preset").str(preset);
+    })
 }
 
 /// A `status` request line (daemon-lifetime counters, no simulation).
 pub fn serve_status_request_line(id: &str) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"status\",\"id\":\"{}\"}}",
-        esc(id)
-    )
+    line("status", id, |_| {})
 }
 
 /// The `accepted` response: the request parsed and expanded to `total`
 /// points (`unique` after in-request digest dedup).
 pub fn serve_accepted_line(id: &str, total: usize, unique: usize) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"accepted\",\"id\":\"{}\",\"total\":{total},\"unique\":{unique}}}",
-        esc(id)
-    )
+    line("accepted", id, |w| {
+        w.key("total").u64(total as u64);
+        w.key("unique").u64(unique as u64);
+    })
 }
 
 /// One per-point `result` response line. `result_json` must be the
@@ -119,13 +106,13 @@ pub fn serve_result_line(
     wall_ms: u64,
     result_json: &str,
 ) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"result\",\"id\":\"{}\",\"digest\":\"{}\",\"label\":\"{}\",\"source\":\"{}\",\"wall_ms\":{wall_ms},\"result\":{result_json}}}",
-        esc(id),
-        esc(digest),
-        esc(label),
-        esc(source)
-    )
+    line("result", id, |w| {
+        w.key("digest").str(digest);
+        w.key("label").str(label);
+        w.key("source").str(source);
+        w.key("wall_ms").u64(wall_ms);
+        w.key("result").raw(result_json);
+    })
 }
 
 /// The terminal `done` response line for a request.
@@ -138,10 +125,14 @@ pub fn serve_done_line(
     coalesced: usize,
     wall_ms: u64,
 ) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"done\",\"id\":\"{}\",\"unique\":{unique},\"total\":{total},\"scheduled\":{scheduled},\"cache_hits\":{cache_hits},\"coalesced\":{coalesced},\"wall_ms\":{wall_ms}}}",
-        esc(id)
-    )
+    line("done", id, |w| {
+        w.key("unique").u64(unique as u64);
+        w.key("total").u64(total as u64);
+        w.key("scheduled").u64(scheduled as u64);
+        w.key("cache_hits").u64(cache_hits as u64);
+        w.key("coalesced").u64(coalesced as u64);
+        w.key("wall_ms").u64(wall_ms);
+    })
 }
 
 /// The `status` response line: daemon-lifetime counters.
@@ -153,19 +144,20 @@ pub fn serve_status_line(
     inflight: usize,
     clients: usize,
 ) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"status\",\"id\":\"{}\",\"computed\":{computed},\"cache_hits\":{cache_hits},\"coalesced\":{coalesced},\"inflight\":{inflight},\"clients\":{clients}}}",
-        esc(id)
-    )
+    line("status", id, |w| {
+        w.key("computed").u64(computed as u64);
+        w.key("cache_hits").u64(cache_hits as u64);
+        w.key("coalesced").u64(coalesced as u64);
+        w.key("inflight").u64(inflight as u64);
+        w.key("clients").u64(clients as u64);
+    })
 }
 
 /// An `error` response line; the connection closes after it.
 pub fn serve_error_line(id: &str, message: &str) -> String {
-    format!(
-        "{{\"schema\":\"{SERVE_SCHEMA}\",\"type\":\"error\",\"id\":\"{}\",\"message\":\"{}\"}}",
-        esc(id),
-        esc(message)
-    )
+    line("error", id, |w| {
+        w.key("message").str(message);
+    })
 }
 
 /// A parsed `noc-serve/v1` response line, as a client sees it.
@@ -242,19 +234,17 @@ impl ServeEvent {
     /// that only count points never pay to parse simulation results.
     pub fn parse(line: &str) -> Result<ServeEvent, String> {
         let v = JsonValue::parse(line).map_err(|e| format!("serve response: {e}"))?;
-        let schema = v.get("schema").and_then(JsonValue::as_str).unwrap_or("");
+        let schema = v.str_field("schema").unwrap_or_default();
         if schema != SERVE_SCHEMA {
             return Err(format!(
                 "serve response: schema '{schema}' is not {SERVE_SCHEMA}"
             ));
         }
-        let id = v
-            .get("id")
-            .and_then(JsonValue::as_str)
-            .unwrap_or_default()
-            .to_string();
-        let num =
-            |key: &str| -> usize { v.get(key).and_then(JsonValue::as_f64).unwrap_or(0.0) as usize };
+        // Absent members read as empty / zero: the daemon always writes
+        // them, and a client only tallies what it is given.
+        let text = |key: &str| v.str_field(key).unwrap_or_default().to_string();
+        let num = |key: &str| v.u64_field(key).unwrap_or(0) as usize;
+        let id = text("id");
         match v.get("type").and_then(JsonValue::as_str) {
             Some("accepted") => Ok(ServeEvent::Accepted {
                 id,
@@ -270,21 +260,9 @@ impl ServeEvent {
                     .to_string();
                 Ok(ServeEvent::Result {
                     id,
-                    digest: v
-                        .get("digest")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    label: v
-                        .get("label")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
-                    source: v
-                        .get("source")
-                        .and_then(JsonValue::as_str)
-                        .unwrap_or_default()
-                        .to_string(),
+                    digest: text("digest"),
+                    label: text("label"),
+                    source: text("source"),
                     wall_ms: num("wall_ms") as u64,
                     result_json,
                 })
@@ -308,11 +286,7 @@ impl ServeEvent {
             }),
             Some("error") => Ok(ServeEvent::Error {
                 id,
-                message: v
-                    .get("message")
-                    .and_then(JsonValue::as_str)
-                    .unwrap_or_default()
-                    .to_string(),
+                message: text("message"),
             }),
             other => Err(format!("serve response: unknown type {other:?}")),
         }

@@ -8,11 +8,10 @@ use crate::router::RouterStats;
 use crate::steady;
 use crate::verify::{InvariantChecker, NopChecker, StrictChecker, VerifyReport};
 use noc_obs::{
-    percentile_table_json, AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue,
+    percentile_table_json, AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue, JsonWriter,
     MetricsRegistry, NopProfiler, NopSink, PhaseProfiler, Profiler, RouterBreakdown, RouterObs,
     TelemetrySummary, TraceSink, WindowSnapshot, DEFAULT_QUANTILES,
 };
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -97,82 +96,7 @@ impl SimResult {
     /// Serializes the result (including the per-router breakdown) as one
     /// JSON object.
     pub fn to_json(&self) -> String {
-        // JSON has no NaN/inf literals; map them to null.
-        let num = |v: f64| {
-            if v.is_finite() {
-                format!("{v}")
-            } else {
-                "null".to_string()
-            }
-        };
-        let s = &self.router_stats;
-        let mut out = String::from("{");
-        let _ = write!(
-            out,
-            "\"offered\":{},\"avg_latency\":{},\"request_latency\":{},\"reply_latency\":{},\
-             \"latency_std_dev\":{},\"latency_p99\":{},\"throughput\":{},\"stable\":{}",
-            num(self.offered),
-            num(self.avg_latency),
-            num(self.request_latency),
-            num(self.reply_latency),
-            num(self.latency_std_dev),
-            num(self.latency_p99),
-            num(self.throughput),
-            self.stable
-        );
-        let _ = write!(
-            out,
-            ",\"ci95\":{},\"seeds\":{},\"warmup_detected\":{}",
-            num(self.ci95),
-            self.seeds,
-            self.warmup_detected
-                .map_or_else(|| "null".to_string(), |w| w.to_string())
-        );
-        if let Some(t) = &self.telemetry {
-            let _ = write!(out, ",\"telemetry\":{}", t.to_json());
-        }
-        let _ = write!(
-            out,
-            ",\"percentiles\":{}",
-            percentile_table_json(&self.hist.percentile_table(&DEFAULT_QUANTILES))
-        );
-        let _ = write!(
-            out,
-            ",\"router_stats\":{{\"nonspec_grants\":{},\"spec_requests\":{},\"spec_grants\":{},\
-             \"spec_masked\":{},\"spec_invalid\":{},\"vca_requests\":{},\"vca_grants\":{}}}",
-            s.nonspec_grants,
-            s.spec_requests,
-            s.spec_grants,
-            s.spec_masked,
-            s.spec_invalid,
-            s.vca_requests,
-            s.vca_grants
-        );
-        if !self.routers.is_empty() {
-            let _ = write!(
-                out,
-                ",\"max_router_throughput\":{},\"min_router_throughput\":{}",
-                num(self.max_router_throughput()),
-                num(self.min_router_throughput())
-            );
-            out.push_str(",\"routers\":[");
-            for (i, r) in self.routers.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(
-                    out,
-                    "{{\"router\":{},\"throughput\":{},\"worst_port\":{},\"worst_port_stall\":{}}}",
-                    r.router,
-                    num(r.throughput),
-                    r.worst_port,
-                    num(r.worst_port_stall)
-                );
-            }
-            out.push(']');
-        }
-        out.push('}');
-        out
+        self.encode(false)
     }
 
     /// As [`SimResult::to_json`], extended with the raw histogram state so
@@ -182,26 +106,59 @@ impl SimResult {
     /// extremes) stay in place, so a full record is also a superset of the
     /// plain report.
     pub fn to_json_full(&self) -> String {
-        let mut out = self.to_json();
-        out.pop();
-        let _ = write!(
-            out,
-            ",\"hist\":{{\"min\":{},\"max\":{},\"buckets\":[",
-            self.hist
-                .min()
-                .map_or_else(|| "null".to_string(), |v| v.to_string()),
-            self.hist
-                .max()
-                .map_or_else(|| "null".to_string(), |v| v.to_string()),
-        );
-        for (i, (lower, _, count)) in self.hist.iter_buckets().enumerate() {
-            if i > 0 {
-                out.push(',');
+        self.encode(true)
+    }
+
+    fn encode(&self, full: bool) -> String {
+        let s = &self.router_stats;
+        JsonWriter::object(|w| {
+            w.key("offered").f64(self.offered);
+            w.key("avg_latency").f64(self.avg_latency);
+            w.key("request_latency").f64(self.request_latency);
+            w.key("reply_latency").f64(self.reply_latency);
+            w.key("latency_std_dev").f64(self.latency_std_dev);
+            w.key("latency_p99").f64(self.latency_p99);
+            w.key("throughput").f64(self.throughput);
+            w.key("stable").bool(self.stable);
+            w.key("ci95").f64(self.ci95);
+            w.key("seeds").u64(self.seeds as u64);
+            w.key("warmup_detected").opt_u64(self.warmup_detected);
+            if let Some(t) = &self.telemetry {
+                w.key("telemetry").raw(&t.to_json());
             }
-            let _ = write!(out, "[{lower},{count}]");
-        }
-        out.push_str("]}}");
-        out
+            w.key("percentiles").raw(&percentile_table_json(
+                &self.hist.percentile_table(&DEFAULT_QUANTILES),
+            ));
+            w.key("router_stats").obj(|w| {
+                w.key("nonspec_grants").u64(s.nonspec_grants);
+                w.key("spec_requests").u64(s.spec_requests);
+                w.key("spec_grants").u64(s.spec_grants);
+                w.key("spec_masked").u64(s.spec_masked);
+                w.key("spec_invalid").u64(s.spec_invalid);
+                w.key("vca_requests").u64(s.vca_requests);
+                w.key("vca_grants").u64(s.vca_grants);
+            });
+            if !self.routers.is_empty() {
+                w.key("max_router_throughput")
+                    .f64(self.max_router_throughput());
+                w.key("min_router_throughput")
+                    .f64(self.min_router_throughput());
+                w.key("routers").arr(|w| {
+                    for r in &self.routers {
+                        w.obj(|w| {
+                            w.key("router").u64(r.router as u64);
+                            w.key("throughput").f64(r.throughput);
+                            w.key("worst_port").u64(r.worst_port as u64);
+                            w.key("worst_port_stall").f64(r.worst_port_stall);
+                        });
+                    }
+                });
+            }
+            if full {
+                w.key("hist");
+                self.hist.write_json(w);
+            }
+        })
     }
 
     /// Reconstructs a result from [`SimResult::to_json_full`] output.
@@ -212,92 +169,52 @@ impl SimResult {
     /// string (asserted by `full_json_round_trip_is_bit_exact`).
     pub fn from_json(s: &str) -> Result<SimResult, String> {
         let v = JsonValue::parse(s)?;
-        let u64_of = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("missing numeric field {key:?}"))
-        };
-        let stats = v
-            .get("router_stats")
-            .ok_or_else(|| "missing router_stats".to_string())?;
-        let stat_of = |key: &str| -> Result<u64, String> {
-            stats
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("missing router_stats field {key:?}"))
-        };
-        let hist_v = v.get("hist").ok_or_else(|| "missing hist".to_string())?;
-        let buckets: Vec<(u64, u64)> = hist_v
-            .get("buckets")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| "missing hist.buckets".to_string())?
-            .iter()
-            .map(|pair| {
-                let p = pair.as_array().filter(|p| p.len() == 2);
-                p.and_then(|p| Some((p[0].as_f64()? as u64, p[1].as_f64()? as u64)))
-                    .ok_or_else(|| "malformed hist bucket".to_string())
-            })
-            .collect::<Result<_, _>>()?;
-        let hist = HdrHistogram::from_parts(
-            &buckets,
-            hist_v.num_or_nan("min") as u64,
-            hist_v.num_or_nan("max") as u64,
-        );
+        let stats = v.field("router_stats")?;
         let routers = match v.get("routers").and_then(JsonValue::as_array) {
             None => Vec::new(),
             Some(rows) => rows
                 .iter()
                 .map(|r| {
                     Ok(RouterBreakdown {
-                        router: r
-                            .get("router")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| "malformed router row".to_string())?
-                            as usize,
-                        throughput: r.num_or_nan("throughput"),
-                        worst_port: r
-                            .get("worst_port")
-                            .and_then(JsonValue::as_f64)
-                            .ok_or_else(|| "malformed router row".to_string())?
-                            as usize,
-                        worst_port_stall: r.num_or_nan("worst_port_stall"),
+                        router: r.u64_field("router")? as usize,
+                        throughput: r.f64_field("throughput")?,
+                        worst_port: r.u64_field("worst_port")? as usize,
+                        worst_port_stall: r.f64_field("worst_port_stall")?,
                     })
                 })
-                .collect::<Result<_, String>>()?,
+                .collect::<Result<_, String>>()
+                .map_err(|e| format!("router row: {e}"))?,
         };
         Ok(SimResult {
-            offered: v.num_or_nan("offered"),
-            avg_latency: v.num_or_nan("avg_latency"),
-            request_latency: v.num_or_nan("request_latency"),
-            reply_latency: v.num_or_nan("reply_latency"),
-            latency_std_dev: v.num_or_nan("latency_std_dev"),
-            latency_p99: v.num_or_nan("latency_p99"),
-            throughput: v.num_or_nan("throughput"),
+            offered: v.f64_field("offered")?,
+            avg_latency: v.f64_field("avg_latency")?,
+            request_latency: v.f64_field("request_latency")?,
+            reply_latency: v.f64_field("reply_latency")?,
+            latency_std_dev: v.f64_field("latency_std_dev")?,
+            latency_p99: v.f64_field("latency_p99")?,
+            throughput: v.f64_field("throughput")?,
             stable: v
                 .get("stable")
                 .and_then(JsonValue::as_bool)
-                .ok_or_else(|| "missing stable".to_string())?,
-            ci95: v.num_or_nan("ci95"),
-            seeds: u64_of("seeds")? as usize,
-            warmup_detected: match v.get("warmup_detected") {
-                Some(JsonValue::Num(n)) => Some(*n as u64),
-                _ => None,
-            },
+                .ok_or("missing field \"stable\"")?,
+            ci95: v.f64_field("ci95")?,
+            seeds: v.u64_field("seeds")? as usize,
+            warmup_detected: v.get("warmup_detected").and_then(JsonValue::as_u64),
             telemetry: match v.get("telemetry") {
-                Some(t @ JsonValue::Obj(_)) => Some(TelemetrySummary::from_value(t)?),
+                Some(t @ JsonValue::Obj(_)) => {
+                    Some(TelemetrySummary::from_value(t).map_err(|e| format!("telemetry: {e}"))?)
+                }
                 _ => None,
             },
-            hist,
+            hist: HdrHistogram::from_json(v.field("hist")?).map_err(|e| format!("hist: {e}"))?,
             router_stats: RouterStats {
-                nonspec_grants: stat_of("nonspec_grants")?,
-                spec_requests: stat_of("spec_requests")?,
-                spec_grants: stat_of("spec_grants")?,
-                spec_masked: stat_of("spec_masked")?,
-                spec_invalid: stat_of("spec_invalid")?,
-                vca_requests: stat_of("vca_requests")?,
-                vca_grants: stat_of("vca_grants")?,
+                nonspec_grants: stats.u64_field("nonspec_grants")?,
+                spec_requests: stats.u64_field("spec_requests")?,
+                spec_grants: stats.u64_field("spec_grants")?,
+                spec_masked: stats.u64_field("spec_masked")?,
+                spec_invalid: stats.u64_field("spec_invalid")?,
+                vca_requests: stats.u64_field("vca_requests")?,
+                vca_grants: stats.u64_field("vca_grants")?,
             },
             routers,
         })

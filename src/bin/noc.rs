@@ -20,6 +20,7 @@
 //! Run `noc help` (or any subcommand with `--help`) for flags. Argument
 //! parsing is deliberately dependency-free.
 
+use noc_bench::harness::sig3;
 use noc_bench::{
     compare_baseline, parse_report, report_filename, run_bench, workload_matrix, BenchParams,
 };
@@ -27,8 +28,8 @@ use noc_check::{check_design, check_fixture, fixtures, RouteModel};
 use noc_core::{AllocatorKind, SpecMode, SwitchAllocatorKind, VcAllocSpec};
 use noc_obs::{
     anatomy_chrome_trace, chrome_trace, metrics_csv, metrics_jsonl, render_top, render_waterfall,
-    window_jsonl, AnatomyCollector, AnatomyHeader, TelemetryDump, TelemetryHeader, VecSink,
-    WindowSnapshot, ANATOMY_SCHEMA, PHASES, TELEMETRY_SCHEMA,
+    window_jsonl, AnatomyCollector, AnatomyHeader, JsonWriter, TelemetryDump, TelemetryHeader,
+    VecSink, WindowSnapshot, ANATOMY_SCHEMA, PHASES, TELEMETRY_SCHEMA,
 };
 use noc_sim::{
     Engine, RoutingKind, Run, SimConfig, TelemetryOptions, TopologyKind, TrafficPattern,
@@ -647,18 +648,20 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
         }
     }
     if args.flags.contains_key("json") {
-        let mut extra = String::new();
-        if let Some(p) = &out.profile {
-            extra.push_str(&format!(",\"profile\":{}", p.to_json()));
-        }
-        if let Some(col) = &out.anatomy {
-            extra.push_str(&format!(",\"anatomy\":{}", col.summary().to_json()));
-        }
-        if extra.is_empty() {
+        if out.profile.is_none() && out.anatomy.is_none() {
             println!("{}", r.to_json());
-        } else {
-            println!("{{\"result\":{}{extra}}}", r.to_json());
+            return Ok(());
         }
+        let json = JsonWriter::object(|w| {
+            w.key("result").raw(&r.to_json());
+            if let Some(p) = &out.profile {
+                w.key("profile").raw(&p.to_json());
+            }
+            if let Some(col) = &out.anatomy {
+                w.key("anatomy").raw(&col.summary().to_json());
+            }
+        });
+        println!("{json}");
         return Ok(());
     }
     println!("offered          {:.4} flits/cycle/terminal", r.offered);
@@ -720,8 +723,8 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     }
     if let Some(p) = &out.profile {
         println!(
-            "simulator speed  {:.2} Mcycles/sec ({} cycles in {:.1} ms)",
-            p.cycles_per_sec() / 1e6,
+            "simulator speed  {} cycles/s ({} cycles in {:.1} ms)",
+            sig3(p.cycles_per_sec()),
             p.cycles,
             p.wall_nanos as f64 / 1e6
         );
@@ -849,11 +852,11 @@ fn cmd_explain(args: &Args) -> Result<(), String> {
         );
     }
     if args.flags.contains_key("json") {
-        println!(
-            "{{\"result\":{},\"anatomy\":{}}}",
-            r.to_json(),
-            col.summary().to_json()
-        );
+        let json = JsonWriter::object(|w| {
+            w.key("result").raw(&r.to_json());
+            w.key("anatomy").raw(&col.summary().to_json());
+        });
+        println!("{json}");
         return Ok(());
     }
     println!(

@@ -90,6 +90,36 @@ fn sim_runs_and_reports_latency() {
 }
 
 #[test]
+fn profiled_sim_prints_its_speed_to_three_significant_figures() {
+    let out = noc(&[
+        "sim",
+        "--vcs",
+        "1",
+        "--rate",
+        "0.1",
+        "--warmup",
+        "100",
+        "--measure",
+        "200",
+        "--profile",
+    ]);
+    let text = String::from_utf8_lossy(&out.stdout);
+    let speed = text
+        .lines()
+        .find_map(|l| l.strip_prefix("simulator speed"))
+        .unwrap_or_else(|| panic!("no speed line: {text}"));
+    let (number, rest) = speed.trim_start().split_once(' ').unwrap();
+    assert!(rest.starts_with("cycles/s ("), "{speed}");
+    assert!(number.parse::<f64>().unwrap() > 0.0, "{speed}");
+    let digits: String = number.chars().filter(char::is_ascii_digit).collect();
+    let significant = digits.trim_start_matches('0').trim_end_matches('0');
+    assert!(
+        (1..=3).contains(&significant.len()),
+        "{number} is not three significant figures"
+    );
+}
+
+#[test]
 fn quality_reports_three_architectures() {
     let out = noc(&[
         "quality",
