@@ -17,8 +17,8 @@ fn bench_simulator(c: &mut Criterion) {
             injection_rate: 0.2,
             ..SimConfig::paper_baseline(topo, vcs)
         };
-        // Default build: NopSink, every trace site compiles away. Compare
-        // against run_500_traced below to measure instrumentation overhead.
+        // No observer: every trace site compiles away. Compare against
+        // run_500_traced below to measure instrumentation overhead.
         group.bench_with_input(BenchmarkId::new("run_500", label), &cfg, |b, cfg| {
             b.iter(|| {
                 let mut net = Network::new(cfg.clone());
@@ -28,9 +28,9 @@ fn bench_simulator(c: &mut Criterion) {
         });
         group.bench_with_input(BenchmarkId::new("run_500_traced", label), &cfg, |b, cfg| {
             b.iter(|| {
-                let mut net = Network::with_sink(cfg.clone(), CountingSink::default());
-                net.run(500);
-                net.sink.total()
+                let mut sink = CountingSink::default();
+                Engine::Sequential.run_with(&mut Network::new(cfg.clone()), 500, &mut sink);
+                sink.total()
             })
         });
     }

@@ -15,7 +15,7 @@
 //!   spec-level content digest.
 //! - [`cache`]: the content-addressed result store. One JSON file per
 //!   point, keyed by `SimConfig::digest` (config + run window + schema),
-//!   written atomically, round-tripping [`SimResult`] bit-exactly.
+//!   written atomically, round-tripping [`SimResult`](noc_sim::SimResult) bit-exactly.
 //! - [`journal`]: the crash-safe completion log — an append-only JSONL
 //!   file, fsynced per record, validated against the spec digest on
 //!   resume.

@@ -299,3 +299,31 @@ fn oversized_requests_are_refused_and_the_daemon_keeps_serving() {
     );
     let _ = fs::remove_dir_all(&root);
 }
+
+/// A request nested 200 000 levels deep fits under the byte cap; it is
+/// refused with an error line — as a request and as the spec inside one —
+/// instead of overflowing the daemon's stack, and the next client is
+/// served.
+#[test]
+fn deeply_nested_requests_are_refused_and_the_daemon_keeps_serving() {
+    let root = scratch("deep");
+    let daemon = start(&opts(&root)).unwrap();
+    let addr = daemon.addr().to_string();
+
+    let deep = "[".repeat(200_000);
+    assert!(deep.len() < MAX_REQUEST_BYTES);
+    for line in [deep.clone(), serve_sweep_request_line("deep", &deep, None)] {
+        let err = request(&addr, &line, |_, _| {}).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    let outcome = request(
+        &addr,
+        &serve_sweep_request_line("next", &spec_json(&[0.05]), None),
+        |_, _| {},
+    )
+    .unwrap();
+    assert_eq!(outcome.unique, 1, "the daemon still serves the next client");
+    assert_eq!(daemon.shutdown().computed, 1);
+    let _ = fs::remove_dir_all(&root);
+}

@@ -3,7 +3,7 @@
 //! Both allocators are implemented twice: a `u64` mask-and-ctz kernel over
 //! [`ArbiterBank`] state (the fast path whenever both dimensions fit the
 //! 64-bit kernel word) and the element-wise scalar predecessor in
-//! [`reference`], which also serves as the fallback for wider instances.
+//! [`reference`](mod@reference), which also serves as the fallback for wider instances.
 //! The differential test layer drives the two on identical request streams
 //! and asserts grant-identical behaviour, including priority state across
 //! multi-round sequences.
@@ -343,7 +343,7 @@ impl Allocator for SeparableOutputFirst {
     }
 }
 
-/// The scalar predecessors of the separable kernels: one boxed [`Arbiter`]
+/// The scalar predecessors of the separable kernels: one boxed [`Arbiter`](noc_arbiter::Arbiter)
 /// per port, element-wise stage sweeps. Kept alive for differential testing
 /// and as the fallback for instances wider than the 64-bit kernel word.
 pub mod reference {

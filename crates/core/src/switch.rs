@@ -10,7 +10,7 @@
 //!
 //! Each allocator exists twice: a `u64` mask kernel over [`ArbiterBank`]
 //! state (used whenever `P <= 64` and `V <= 64`) and its scalar predecessor
-//! in [`reference`], kept alive as the differential oracle and as the
+//! in [`reference`](mod@reference), kept alive as the differential oracle and as the
 //! fallback for wider configurations.
 
 use crate::wavefront::WavefrontAllocator;
@@ -211,7 +211,7 @@ impl SwitchAllocatorKind {
         }
     }
 
-    /// Instantiates the scalar-reference predecessor (see [`reference`]);
+    /// Instantiates the scalar-reference predecessor (see [`reference`](mod@reference));
     /// driven against [`SwitchAllocatorKind::build`] by the differential
     /// test layer.
     pub fn build_reference(self, ports: usize, vcs: usize) -> Box<dyn SwitchAllocator + Send> {

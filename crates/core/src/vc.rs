@@ -439,7 +439,7 @@ fn candidate_word(spec: &VcAllocSpec, g: usize, req: &VcRequest, free_out: &BitM
 ///
 /// Implemented as a `u64` kernel over contiguous [`noc_arbiter::ArbiterBank`]
 /// / [`noc_arbiter::TreeBank`] state whenever `P*V <= 64`; the boxed-arbiter
-/// scalar predecessor lives in [`reference`] and handles wider instances.
+/// scalar predecessor lives in [`reference`](mod@reference) and handles wider instances.
 pub struct SeparableVcAllocator {
     spec: VcAllocSpec,
     input_first: bool,

@@ -11,7 +11,7 @@
 //! * a small virtual-thread DSL ([`program`]) with modeled atomics
 //!   (Acquire/Release/Relaxed via vector clocks, [`clock`]) and tracked
 //!   `UnsafeCell` accesses;
-//! * a DFS scheduler ([`explore`]) that enumerates every interleaving of
+//! * a DFS scheduler ([`explore`](fn@explore)) that enumerates every interleaving of
 //!   synchronization operations (data accesses run eagerly in between —
 //!   the race verdict depends only on happens-before, so only sync-op
 //!   order needs branching) and prints the exact schedule that reaches

@@ -1,4 +1,6 @@
-//! Flit-lifecycle trace events and sinks.
+//! Flit-lifecycle trace events and the sinks that collect them. The
+//! simulator hands events to a sink through its observer seam
+//! (`noc_sim::Observer`), which every sink here implements.
 
 /// What happened to a flit (or its packet) at one pipeline step.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -74,42 +76,6 @@ pub struct FlitEvent {
     pub flit_index: u32,
 }
 
-/// Receiver of flit-lifecycle events.
-///
-/// Simulator instrumentation sites guard every event construction with
-/// `S::ACTIVE`, so a sink with `ACTIVE = false` compiles to straight-line
-/// code identical to an uninstrumented build.
-pub trait TraceSink {
-    /// Whether this sink wants events at all. Sites skip event
-    /// construction entirely when this is `false`.
-    const ACTIVE: bool;
-
-    /// Records one event.
-    fn record(&mut self, ev: FlitEvent);
-}
-
-/// A borrowed sink records into its referent, so a caller can lend a sink
-/// to a run and read it once the run is over.
-impl<T: TraceSink> TraceSink for &mut T {
-    const ACTIVE: bool = T::ACTIVE;
-
-    #[inline(always)]
-    fn record(&mut self, ev: FlitEvent) {
-        (**self).record(ev);
-    }
-}
-
-/// The zero-cost disabled sink.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NopSink;
-
-impl TraceSink for NopSink {
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn record(&mut self, _: FlitEvent) {}
-}
-
 /// Buffers events in memory (feeds [`crate::chrome_trace`]), bounded:
 /// once `capacity` events are stored, further events are counted in
 /// [`VecSink::dropped`] instead of growing the buffer, so a long traced
@@ -147,13 +113,10 @@ impl VecSink {
     pub fn capacity(&self) -> usize {
         self.capacity
     }
-}
 
-impl TraceSink for VecSink {
-    const ACTIVE: bool = true;
-
+    /// Stores one event, or counts it as dropped once the buffer is full.
     #[inline]
-    fn record(&mut self, ev: FlitEvent) {
+    pub fn record(&mut self, ev: FlitEvent) {
         if self.events.len() < self.capacity {
             self.events.push(ev);
         } else {
@@ -180,13 +143,10 @@ impl CountingSink {
     pub fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
-}
 
-impl TraceSink for CountingSink {
-    const ACTIVE: bool = true;
-
+    /// Counts one event.
     #[inline]
-    fn record(&mut self, ev: FlitEvent) {
+    pub fn record(&mut self, ev: FlitEvent) {
         self.counts[ev.kind as usize] += 1;
     }
 }
@@ -241,12 +201,6 @@ mod tests {
         assert_eq!(s.count(FlitEventKind::Eject), 1);
         assert_eq!(s.total(), 3);
     }
-
-    // Compile-time: the no-op sink must stay inactive (so trace sites fold
-    // away) and the recording sinks active.
-    const _: () = assert!(!NopSink::ACTIVE);
-    const _: () = assert!(VecSink::ACTIVE);
-    const _: () = assert!(CountingSink::ACTIVE);
 
     #[test]
     fn kind_names_are_unique() {

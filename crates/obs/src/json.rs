@@ -42,7 +42,7 @@ impl JsonValue {
         let b = s.as_bytes();
         let mut i = 0usize;
         skip_ws(b, &mut i);
-        let v = parse_value(b, &mut i)?;
+        let v = parse_value(b, &mut i, 0)?;
         skip_ws(b, &mut i);
         if i != b.len() {
             return Err(format!("trailing data at byte {i}"));
@@ -338,7 +338,18 @@ fn skip_ws(b: &[u8], i: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
+/// Deepest array/object nesting the reader accepts. The reader recurses
+/// once per level, so an unbounded depth lets one short line of `[`
+/// overflow the stack; the deepest document this workspace writes (a
+/// bench report) nests six levels.
+pub const MAX_DEPTH: usize = 128;
+
+fn parse_value(b: &[u8], i: &mut usize, depth: usize) -> Result<JsonValue, String> {
+    if matches!(b.get(*i), Some(b'{' | b'[')) && depth >= MAX_DEPTH {
+        return Err(format!(
+            "nesting deeper than {MAX_DEPTH} levels at byte {i}"
+        ));
+    }
     match b.get(*i) {
         Some(b'{') => {
             *i += 1;
@@ -357,7 +368,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
                 }
                 *i += 1;
                 skip_ws(b, i);
-                members.push((key, parse_value(b, i)?));
+                members.push((key, parse_value(b, i, depth + 1)?));
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -379,7 +390,7 @@ fn parse_value(b: &[u8], i: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(b, i);
-                items.push(parse_value(b, i)?);
+                items.push(parse_value(b, i, depth + 1)?);
                 skip_ws(b, i);
                 match b.get(*i) {
                     Some(b',') => *i += 1,
@@ -614,5 +625,20 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn deep_nesting_is_refused_not_a_stack_overflow() {
+        // 200 000 `[` fit under the serve request cap; the reader recurses
+        // once per level, so without the cap this overflows the stack.
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(200_000);
+            let err = JsonValue::parse(&deep).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
+        let at_cap = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at_cap).is_ok());
+        let past_cap = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(JsonValue::parse(&past_cap).is_err());
     }
 }

@@ -1,14 +1,14 @@
 #![forbid(unsafe_code)]
 //! Flit-level observability for the NoC simulator.
 //!
-//! Three layers, usable independently:
+//! The simulator hands every collector here the same way: each one
+//! implements the simulator's one observer trait (`noc_sim::Observer`),
+//! observers compose in tuples, and with none attached the cycle body is
+//! the uninstrumented one. The layers, usable independently:
 //!
-//! - [`event`]: a [`TraceSink`] trait receiving one [`FlitEvent`] per
-//!   flit-lifecycle step (injection, routing, VC allocation, switch
-//!   allocation, switch traversal, ejection). The sink is selected at
-//!   compile time through a generic parameter on the simulator, and the
-//!   no-op sink ([`NopSink`]) advertises `ACTIVE = false` so every
-//!   instrumentation site folds to nothing — tracing costs zero when off.
+//! - [`event`]: one [`FlitEvent`] per flit-lifecycle step (injection,
+//!   routing, VC allocation, switch allocation, switch traversal,
+//!   ejection), collected by [`VecSink`] or tallied by [`CountingSink`].
 //! - [`metrics`]: always-on per-router counters ([`RouterObs`]) with
 //!   **stall-cause attribution** — every input VC is classified each cycle
 //!   as moving a flit, stalled on credits, stalled on VC allocation,
@@ -21,11 +21,10 @@
 //! - [`hist`]: a log-linear HDR-style latency histogram with bounded
 //!   relative error, exact low-latency buckets, and interpolated
 //!   percentile queries — the substrate for every reported quantile.
-//! - [`profile`]: self-profiling. A [`PhaseProfiler`] attributes
-//!   wall-time and event rates to the router pipeline phases (routing,
-//!   VC allocation, switch allocation, traversal, credits); the no-op
-//!   implementation compiles every clock read away, mirroring the sink
-//!   design.
+//! - [`profile`]: self-profiling. The [`Profiler`] attributes wall time
+//!   and event rates to the router pipeline phases (routing, VC
+//!   allocation, switch allocation, traversal, credits); the simulator
+//!   reads the clock only while one is attached.
 //! - [`json`]: the one JSON codec — a strict reader ([`JsonValue`]) with
 //!   typed field getters, and a writer ([`JsonWriter`]) that owns string
 //!   escaping, the number rule (shortest round-trip, non-finite → `null`)
@@ -73,7 +72,7 @@ pub use anatomy::{
     HopRecord, PacketAnatomy, Waterfall, ANATOMY_SCHEMA, STAGE_COUNT, STAGE_NAMES,
 };
 pub use digest::DigestSink;
-pub use event::{CountingSink, FlitEvent, FlitEventKind, NopSink, TraceSink, VecSink};
+pub use event::{CountingSink, FlitEvent, FlitEventKind, VecSink};
 pub use export::{
     anatomy_chrome_trace, chrome_trace, histogram_csv, metrics_csv, metrics_jsonl,
     percentile_table_json, sweep_manifest_json, SweepManifestPoint,
@@ -81,7 +80,7 @@ pub use export::{
 pub use hist::{HdrHistogram, DEFAULT_QUANTILES};
 pub use json::{validate_json, JsonValue, JsonWriter};
 pub use metrics::{GaugeSample, MetricsRegistry, RouterBreakdown, RouterObs, StallCounters};
-pub use profile::{NopProfiler, Phase, PhaseProfiler, Profiler, PHASES};
+pub use profile::{Phase, Profiler, PHASES};
 pub use progress::ProgressMeter;
 pub use record::{
     window_jsonl, TelemetryDump, TelemetryHeader, TelemetrySummary, TELEMETRY_SCHEMA,

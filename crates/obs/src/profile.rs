@@ -1,12 +1,11 @@
 //! Self-profiling: wall-time and event-rate attribution to the router
 //! pipeline phases.
 //!
-//! Mirrors the [`crate::TraceSink`] design: instrumentation sites are
-//! generic over a [`PhaseProfiler`] and guard every measurement with
-//! `P::ACTIVE`, so the default [`NopProfiler`] compiles all timing away —
-//! the hot path pays nothing when profiling is off. The recording
-//! [`Profiler`] accumulates nanoseconds and event counts per [`Phase`],
-//! and the run driver stamps the total wall time and cycle count so the
+//! The [`Profiler`] accumulates nanoseconds and event counts per
+//! [`Phase`], fed through the simulator's observer seam
+//! (`noc_sim::Observer`); the cycle body reads the clock only while a
+//! profiler is attached, so the hot path pays nothing when profiling is
+//! off. The run driver stamps the total wall time and cycle count so the
 //! report can express each phase as a share of the run.
 
 use crate::json::JsonWriter;
@@ -48,30 +47,6 @@ impl Phase {
     }
 }
 
-/// Receiver of per-phase measurements.
-///
-/// Instrumentation sites skip clock reads entirely when `ACTIVE` is
-/// `false`, so the no-op implementation has zero cost.
-pub trait PhaseProfiler {
-    /// Whether sites should measure at all.
-    const ACTIVE: bool;
-
-    /// Records `nanos` of wall time and `events` units of work for one
-    /// phase.
-    fn record(&mut self, phase: Phase, nanos: u64, events: u64);
-}
-
-/// The zero-cost disabled profiler.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NopProfiler;
-
-impl PhaseProfiler for NopProfiler {
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn record(&mut self, _: Phase, _: u64, _: u64) {}
-}
-
 /// Accumulating profiler: per-phase wall time and event counts, plus the
 /// run totals stamped by the driver.
 #[derive(Clone, Debug, Default)]
@@ -87,17 +62,15 @@ pub struct Profiler {
     pub cycles: u64,
 }
 
-impl PhaseProfiler for Profiler {
-    const ACTIVE: bool = true;
-
+impl Profiler {
+    /// Records `nanos` of wall time and `events` units of work for one
+    /// phase.
     #[inline]
-    fn record(&mut self, phase: Phase, nanos: u64, events: u64) {
+    pub fn record(&mut self, phase: Phase, nanos: u64, events: u64) {
         self.phase_nanos[phase as usize] += nanos;
         self.phase_events[phase as usize] += events;
     }
-}
 
-impl Profiler {
     /// Nanoseconds attributed to one phase.
     pub fn nanos(&self, phase: Phase) -> u64 {
         self.phase_nanos[phase as usize]
@@ -168,11 +141,6 @@ impl Profiler {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // Compile-time: the no-op profiler must stay inactive so the default
-    // simulation path folds all timing away.
-    const _: () = assert!(!NopProfiler::ACTIVE);
-    const _: () = assert!(Profiler::ACTIVE);
 
     #[test]
     fn shares_sum_with_other_to_one() {

@@ -11,7 +11,7 @@ const RATE_WINDOW: usize = 10;
 /// Thread-safe progress meter: worker threads mark completions, anyone
 /// renders a one-line status with throughput and a remaining-time
 /// estimate. The ETA extrapolates from the *recent* completion rate (the
-/// last [`RATE_WINDOW`] completions), not the whole-run average — a slow
+/// last `RATE_WINDOW` (10) completions), not the whole-run average — a slow
 /// warmup point (a cold cache, a saturated first sweep row) would
 /// otherwise poison the estimate for the rest of the run. The ETA is
 /// omitted until at least one point has finished.

@@ -128,6 +128,7 @@ impl WindowSnapshot {
 pub struct FlightRecorder {
     window: u64,
     capacity: usize,
+    matching_period: u64,
     ring: VecDeque<WindowSnapshot>,
     prev: Vec<RouterCounters>,
     prev_injected: u64,
@@ -149,6 +150,7 @@ impl FlightRecorder {
         FlightRecorder {
             window,
             capacity,
+            matching_period: 0,
             ring: VecDeque::with_capacity(capacity),
             prev: Vec::new(),
             prev_injected: 0,
@@ -160,6 +162,20 @@ impl FlightRecorder {
             series_flits: Vec::new(),
             series_in_flight: Vec::new(),
         }
+    }
+
+    /// Additionally samples matching quality in every router every
+    /// `period` cycles (an exact maximum matching per router per sample,
+    /// so keep the period well above 1 for production runs); 0 leaves
+    /// sampling off.
+    pub fn with_matching(mut self, period: u64) -> FlightRecorder {
+        self.matching_period = period;
+        self
+    }
+
+    /// Matching-quality sample period in cycles (0 when sampling is off).
+    pub fn matching_period(&self) -> u64 {
+        self.matching_period
     }
 
     /// Window length in cycles.

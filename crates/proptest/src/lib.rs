@@ -249,7 +249,7 @@ pub mod collection {
     use super::{Rng, Strategy, TestRng};
     use std::ops::Range;
 
-    /// Element count for [`vec`]: a fixed length or a length range.
+    /// Element count for [`vec()`]: a fixed length or a length range.
     pub trait IntoLenRange {
         /// Draws a concrete length.
         fn draw_len(&self, rng: &mut TestRng) -> usize;
@@ -272,7 +272,7 @@ pub mod collection {
         VecStrategy { element, len }
     }
 
-    /// Strategy returned by [`vec`].
+    /// Strategy returned by [`vec()`].
     pub struct VecStrategy<S, L> {
         element: S,
         len: L,

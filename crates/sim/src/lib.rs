@@ -20,6 +20,7 @@
 pub mod config;
 pub mod digest;
 pub mod network;
+pub mod observer;
 pub mod packet;
 pub mod router;
 pub mod routing;
@@ -34,6 +35,7 @@ pub mod verify;
 pub use config::SimConfig;
 pub use digest::digest_pairs;
 pub use network::Network;
+pub use observer::Observer;
 pub use packet::{Flit, PacketKind};
 pub use routing::RoutingKind;
 pub use sim::{
@@ -43,4 +45,4 @@ pub use sim::{
 };
 pub use topology::{Topology, TopologyKind};
 pub use traffic::TrafficPattern;
-pub use verify::{InvariantChecker, NopChecker, StrictChecker, VerifyReport};
+pub use verify::{StrictChecker, VerifyReport};

@@ -1,35 +1,38 @@
 //! The full network: routers, terminals, and links with credit channels.
 
 use crate::config::SimConfig;
+use crate::observer::Observer;
 use crate::packet::Flit;
 use crate::router::{Router, RouterConfig, RouterOutputs, RouterStats};
 use crate::stats::NetStats;
 use crate::terminal::{RouterProbe, Terminal};
 use crate::topology::Topology;
-use crate::verify::{InvariantChecker, NopChecker};
-use noc_obs::{
-    AnatomyCollector, FlightRecorder, FlitEvent, FlitEventKind, MetricsRegistry, NopProfiler,
-    NopSink, Phase, PhaseProfiler, RouterBreakdown, RouterObs, TraceSink,
-};
+use crate::verify::StrictChecker;
+use noc_obs::{FlitEvent, FlitEventKind, Phase, Profiler, RouterBreakdown, RouterObs};
+use par_protocol as pp;
+use std::cell::UnsafeCell;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
+use std::thread::{Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 /// One reverse-link entry: `(upstream router, its output port, latency)`
 /// for a network input port, or `None` for terminal-facing ports.
 type RevLink = Option<(usize, usize, u64)>;
 
-/// The parallel engine's epoch/done/stop protocol constants, named so the
-/// `noc-mc` model checker's encoding can be pinned to them (see
-/// `crates/sim/tests/protocol_drift.rs` — if either side changes alone,
-/// that test fails and the machine-checked proof in `crates/mc` must be
-/// re-run against the new protocol).
-///
-/// The happens-before argument these orderings carry is §11 of DESIGN.md:
-/// main's shard writes are released by [`EPOCH_PUBLISH`] and acquired by
-/// each worker's [`EPOCH_WAIT`]; each worker's shard writes are released
-/// by [`DONE_SIGNAL`] and acquired by main's [`DONE_WAIT`]. [`DONE_RESET`]
-/// may be relaxed *only because* it is program-ordered before the release
-/// publication on the same thread.
 pub mod par_protocol {
+    //! The parallel engine's epoch/done/stop protocol constants, named so the
+    //! `noc-mc` model checker's encoding can be pinned to them (see
+    //! `crates/sim/tests/protocol_drift.rs` — if either side changes alone,
+    //! that test fails and the machine-checked proof in `crates/mc` must be
+    //! re-run against the new protocol).
+    //!
+    //! The happens-before argument these orderings carry is §11 of DESIGN.md:
+    //! main's shard writes are released by [`EPOCH_PUBLISH`] and acquired by
+    //! each worker's [`EPOCH_WAIT`]; each worker's shard writes are released
+    //! by [`DONE_SIGNAL`] and acquired by main's [`DONE_WAIT`]. [`DONE_RESET`]
+    //! may be relaxed *only because* it is program-ordered before the release
+    //! publication on the same thread.
+
     use std::sync::atomic::Ordering;
 
     /// Iterations of `spin_loop` before yielding the timeslice.
@@ -145,12 +148,16 @@ impl TimingWheel {
     }
 }
 
-/// A complete simulated network, generic over the trace sink. The default
-/// [`NopSink`] compiles all flit-event instrumentation away.
-pub struct Network<S: TraceSink = NopSink> {
+/// A complete simulated network. It holds no observer: each engine run
+/// takes one (see [`Observer`]), and the plain [`Network::step`] and
+/// [`Network::run`] pass `()`, with which every hook compiles away.
+pub struct Network {
     /// Topology in use.
     pub topo: Topology,
     cfg: SimConfig,
+    /// Routers in id order. The parallel engine's workers step them where
+    /// they are, through pointers that stay valid only while the vector
+    /// keeps its length, so nothing outside this module gets the vector.
     routers: Vec<Router>,
     terminals: Vec<Terminal>,
     wheel: TimingWheel,
@@ -165,33 +172,11 @@ pub struct Network<S: TraceSink = NopSink> {
     pub now: u64,
     /// Measurement statistics.
     pub stats: NetStats,
-    /// Flit-event sink.
-    pub sink: S,
-    /// Opt-in sampled time series (see [`Network::enable_metrics`]).
-    pub metrics: Option<MetricsRegistry>,
-    /// Opt-in windowed flight recorder (see
-    /// [`Network::enable_telemetry`]).
-    pub telemetry: Option<FlightRecorder>,
-    /// Opt-in per-packet latency ledger (see
-    /// [`Network::enable_anatomy`]). Folded on the main thread only: hop
-    /// records travel through [`RouterOutputs::hops`] and are ingested at
-    /// commit in router-id order, ejections fold during delivery in wheel
-    /// order — both engine-invariant, so dumps are byte-identical across
-    /// engines.
-    pub anatomy: Option<AnatomyCollector>,
 }
 
-impl Network<NopSink> {
-    /// Builds an untraced network in its reset state.
+impl Network {
+    /// Builds a network in its reset state.
     pub fn new(cfg: SimConfig) -> Self {
-        Network::with_sink(cfg, NopSink)
-    }
-}
-
-impl<S: TraceSink> Network<S> {
-    /// Builds a network in its reset state, reporting flit events to
-    /// `sink`.
-    pub fn with_sink(cfg: SimConfig, sink: S) -> Self {
         let topo = cfg.topology.build();
         let spec = cfg.vc_spec();
         let routing = cfg.routing();
@@ -246,42 +231,6 @@ impl<S: TraceSink> Network<S> {
             out_buf,
             now: 0,
             stats,
-            sink,
-            metrics: None,
-            telemetry: None,
-            anatomy: None,
-        }
-    }
-
-    /// Turns on occupancy / channel-utilization sampling every
-    /// `sample_interval` cycles.
-    pub fn enable_metrics(&mut self, sample_interval: u64) {
-        self.metrics = Some(MetricsRegistry::new(sample_interval, self.routers.len()));
-    }
-
-    /// Turns on the flight recorder: a window snapshot every `window`
-    /// cycles, the last `capacity` snapshots retained. A non-zero
-    /// `matching_period` additionally enables matching-quality sampling in
-    /// every router, every `matching_period` cycles (an exact maximum
-    /// matching per router per sample — keep the period well above 1 for
-    /// production runs).
-    pub fn enable_telemetry(&mut self, window: u64, capacity: usize, matching_period: u64) {
-        self.telemetry = Some(FlightRecorder::new(window, capacity));
-        if matching_period > 0 {
-            for r in &mut self.routers {
-                r.enable_match_sampling(matching_period);
-            }
-        }
-    }
-
-    /// Turns on the per-packet latency ledger: every router stamps its
-    /// buffered heads each cycle, ejections fold into per-stage histograms
-    /// (`capacity` bounds retained per-packet records, `top_k` the slowest
-    /// waterfalls kept). Costs one branch per router per cycle when off.
-    pub fn enable_anatomy(&mut self, capacity: usize, top_k: usize) {
-        self.anatomy = Some(AnatomyCollector::new(capacity, top_k));
-        for r in &mut self.routers {
-            r.enable_anatomy();
         }
     }
 
@@ -298,6 +247,16 @@ impl<S: TraceSink> Network<S> {
         self.routers.len()
     }
 
+    /// The routers, in id order (for observers).
+    pub(crate) fn routers(&self) -> &[Router] {
+        &self.routers
+    }
+
+    /// The routers, in id order, to switch on router-local producers.
+    pub(crate) fn routers_mut(&mut self) -> &mut [Router] {
+        &mut self.routers
+    }
+
     /// The active configuration.
     pub fn config(&self) -> &SimConfig {
         &self.cfg
@@ -311,117 +270,37 @@ impl<S: TraceSink> Network<S> {
 
     /// Runs one network cycle.
     pub fn step(&mut self) {
-        self.cycle::<_, _, false>(&mut NopProfiler, &mut NopChecker);
+        self.cycle::<_, false>(&mut (), None);
     }
 
     /// Runs one network cycle, attributing wall time to pipeline phases.
-    /// With [`NopProfiler`] every clock read compiles away and this is the
-    /// plain [`Network::step`] fast path.
-    pub fn step_profiled<P: PhaseProfiler>(&mut self, prof: &mut P) {
-        self.cycle::<_, _, false>(prof, &mut NopChecker);
+    pub fn step_profiled(&mut self, prof: &mut Profiler) {
+        self.cycle::<_, false>(prof, None);
+    }
+
+    /// Runs `cycles` network cycles.
+    pub fn run(&mut self, cycles: u64) {
+        self.run_in_order::<_, false>(cycles, &mut ());
     }
 
     /// Runs `cycles` cycles of the cycle body on this thread, routers in
-    /// router-id order, with `prof` and `chk` attached: the sequential
-    /// engine, or with `SKIP_IDLE` the active-set engine (whose skip debts
-    /// are settled before returning, so stall-cause read-outs such as
+    /// router-id order, with `obs` attached: the sequential engine, or with
+    /// `SKIP_IDLE` the active-set engine (whose skip debts are settled
+    /// before returning, so stall-cause read-outs such as
     /// [`Network::router_obs`] match the sequential engine exactly).
-    pub(crate) fn run_in_order<P: PhaseProfiler, K: InvariantChecker, const SKIP_IDLE: bool>(
+    pub(crate) fn run_in_order<O: Observer, const SKIP_IDLE: bool>(
         &mut self,
         cycles: u64,
-        prof: &mut P,
-        chk: &mut K,
+        obs: &mut O,
     ) {
         for _ in 0..cycles {
-            self.cycle::<P, K, SKIP_IDLE>(prof, chk);
+            self.cycle::<O, SKIP_IDLE>(obs, None);
         }
         if SKIP_IDLE {
             for r in &mut self.routers {
                 r.flush_skipped();
             }
         }
-    }
-
-    /// The one cycle body every engine shares (the parallel engine's pool
-    /// aside, which shards the same router compute across threads).
-    ///
-    /// With `SKIP_IDLE` (the active-set engine) routers with no buffered
-    /// flit and no flit in switch traversal are skipped. That is
-    /// cycle-identical: an idle router's step produces no outputs and
-    /// touches no allocator state; its only observable effect — one `empty`
-    /// stall count per input VC — is accrued as a debt settled by
-    /// [`Router::flush_skipped`].
-    ///
-    /// With [`NopProfiler`] and [`NopChecker`] every clock read and check
-    /// compiles away; an active checker additionally runs the per-router
-    /// matching-legality invariants and a whole-network credit-conservation
-    /// audit after the cycle.
-    fn cycle<P: PhaseProfiler, K: InvariantChecker, const SKIP_IDLE: bool>(
-        &mut self,
-        prof: &mut P,
-        chk: &mut K,
-    ) {
-        let now = self.now;
-        deliver_and_inject(
-            &self.topo,
-            &self.cfg,
-            &mut self.wheel,
-            &mut self.routers,
-            &mut self.terminals,
-            &mut self.stats,
-            &mut self.sink,
-            &mut self.anatomy,
-            now,
-            prof,
-        );
-
-        // --- routers: two-phase (compute into out_buf, commit to wheel) ----
-        // Compute only touches the router itself; commit only schedules
-        // wheel events with delay >= 1, so interleaving compute/commit per
-        // router (here) is cycle-identical to computing all routers first
-        // (the parallel engine) as long as commits stay in router-id order.
-        for r in 0..self.routers.len() {
-            if SKIP_IDLE && self.routers[r].is_idle() {
-                self.routers[r].note_skipped();
-                continue;
-            }
-            {
-                let (routers, out_buf, topo, sink) = (
-                    &mut self.routers,
-                    &mut self.out_buf,
-                    &self.topo,
-                    &mut self.sink,
-                );
-                routers[r].step_into(topo, now, &mut out_buf[r], sink, prof);
-            }
-            commit_outputs(
-                &self.topo,
-                &self.rev,
-                &mut self.wheel,
-                r,
-                &mut self.out_buf[r],
-                &mut self.anatomy,
-                now,
-            );
-        }
-
-        // --- runtime invariants --------------------------------------------
-        if K::ACTIVE {
-            for r in &self.routers {
-                r.check_invariants(chk);
-            }
-            self.audit_credit_conservation(chk);
-        }
-        finish_cycle(
-            &self.routers,
-            &self.terminals,
-            &self.stats,
-            &mut self.metrics,
-            &mut self.telemetry,
-            K::ACTIVE,
-            now,
-        );
-        self.now += 1;
     }
 
     /// Runs `cycles` cycles on the parallel engine: the router compute
@@ -432,275 +311,250 @@ impl<S: TraceSink> Network<S> {
     /// Cycle-identical to [`Network::run`]: the compute phase of each
     /// router reads nothing outside the router, and the commit phase runs
     /// on this thread in router-id order, so the timing-wheel event order
-    /// matches the sequential engine exactly. With one thread or an active
-    /// trace sink it computes routers in router-id order on this thread
-    /// (the sequential cycle body), so trace event order is preserved too.
+    /// matches the sequential engine exactly.
     pub fn run_parallel(&mut self, cycles: u64, threads: usize) {
+        self.run_pool(cycles, threads, &mut ());
+    }
+
+    /// [`Network::run_parallel`] with `obs` attached. With one thread, or
+    /// while `obs` hooks inside router compute ([`Observer::in_compute`]),
+    /// routers are computed in router-id order on this thread instead, so
+    /// flit events and phase timings arrive in the sequential order. Every
+    /// other hook runs on this thread either way.
+    pub(crate) fn run_pool<O: Observer>(&mut self, cycles: u64, threads: usize, obs: &mut O) {
         let threads = threads.clamp(1, self.routers.len().max(1));
-        if threads == 1 || S::ACTIVE {
-            self.run(cycles);
-            return;
+        if threads == 1 || obs.in_compute() {
+            return self.run_in_order::<O, false>(cycles, obs);
         }
         if cycles == 0 {
             return;
         }
-
-        use par_protocol as pp;
-        use std::cell::UnsafeCell;
-        use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
-
-        /// Shared view of the router and output-buffer cells.
-        ///
-        /// Safety protocol (machine-checked as the `run_par` model in
-        /// `crates/mc`, see DESIGN.md §11): access alternates in phases.
-        /// Between the main thread's epoch publication
-        /// ([`par_protocol::EPOCH_PUBLISH`]) and a worker's completion
-        /// signal ([`par_protocol::DONE_SIGNAL`]) only that worker touches
-        /// its disjoint index range `[lo, hi)`; at every other time
-        /// (delivery, commit, finish) only the main thread touches any
-        /// cell. The epoch/done atomics carry the Acquire/Release edges
-        /// ordering those accesses.
-        struct Shards<'a> {
-            routers: &'a [UnsafeCell<Router>],
-            outs: &'a [UnsafeCell<RouterOutputs>],
-        }
-        // SAFETY: sharing the raw cells across worker threads is exactly
-        // what the epoch/done protocol above makes sound; without this
-        // impl the cells could not cross the `thread::scope` boundary.
-        unsafe impl Sync for Shards<'_> {}
-
-        /// Moves the drained router and output-buffer cells back into the
-        /// network on drop — on the normal path *and* on unwind, so a
-        /// panic below (a worker's, or the main thread's in
-        /// commit/deliver) cannot leave the `Network` with empty router
-        /// state. After an unwind the routers may reflect a partially
-        /// computed cycle; the guarantee is structural (every router is
-        /// back, memory-safe), not transactional.
-        struct Restore<'a> {
-            router_cells: Vec<UnsafeCell<Router>>,
-            out_cells: Vec<UnsafeCell<RouterOutputs>>,
-            routers: &'a mut Vec<Router>,
-            out_buf: &'a mut Vec<RouterOutputs>,
-        }
-        impl Drop for Restore<'_> {
-            fn drop(&mut self) {
-                self.routers
-                    .extend(self.router_cells.drain(..).map(UnsafeCell::into_inner));
-                self.out_buf
-                    .extend(self.out_cells.drain(..).map(UnsafeCell::into_inner));
-            }
-        }
-
-        /// Publishes `stop` when dropped, releasing every parked worker.
-        /// Lives at the top of the scope closure so both the normal exit
-        /// and a main-thread unwind set it *before* `thread::scope` joins
-        /// — otherwise a panic in commit would hang the join forever.
-        struct StopOnDrop<'a>(&'a AtomicBool);
-        impl Drop for StopOnDrop<'_> {
-            fn drop(&mut self) {
-                self.0.store(true, pp::STOP_PUBLISH);
-            }
-        }
-
-        /// Worker-side unwind detector: a panicking worker never signals
-        /// `done`, so without this flag the main thread would spin on
-        /// `done < threads` forever instead of propagating the panic.
-        struct PoisonOnPanic<'a>(&'a AtomicBool);
-        impl Drop for PoisonOnPanic<'_> {
-            fn drop(&mut self) {
-                if std::thread::panicking() {
-                    self.0.store(true, pp::STOP_PUBLISH);
-                }
-            }
-        }
-
-        let Network {
-            topo,
-            cfg,
-            routers,
-            terminals,
-            wheel,
-            rev,
-            out_buf,
-            now,
-            stats,
-            sink: _,
-            metrics,
-            telemetry,
-            anatomy,
-        } = self;
-        let n = routers.len();
-        let guard = Restore {
-            router_cells: routers.drain(..).map(UnsafeCell::new).collect(),
-            out_cells: out_buf.drain(..).map(UnsafeCell::new).collect(),
-            routers,
-            out_buf,
-        };
-        let shards = Shards {
-            routers: &guard.router_cells,
-            outs: &guard.out_cells,
-        };
-        let epoch = AtomicU64::new(0);
-        let done = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        let poisoned = AtomicBool::new(false);
-        let base_now = *now;
-        let topo_ref: &Topology = topo;
-
-        // Spin briefly, then yield the timeslice: on oversubscribed or
-        // single-core hosts a pure spin burns a whole scheduler quantum
-        // before the peer thread can make the awaited progress.
-        fn spin_or_yield(spins: &mut u32) {
-            *spins += 1;
-            if *spins < pp::SPIN_LIMIT {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-
+        let shared = Shared::default();
         std::thread::scope(|s| {
-            let stop_guard = StopOnDrop(&stop);
-            let mut handles = Vec::with_capacity(threads);
-            for k in 0..threads {
-                let (lo, hi) = pp::shard_range(k, n, threads);
-                let (shards, epoch, done, stop, poisoned) =
-                    (&shards, &epoch, &done, &stop, &poisoned);
-                handles.push(s.spawn(move || {
-                    let _poison_guard = PoisonOnPanic(poisoned);
-                    let mut seen = 0u64;
-                    loop {
-                        let mut spins = 0u32;
-                        loop {
-                            let e = epoch.load(pp::EPOCH_WAIT);
-                            if e > seen {
-                                seen = e;
-                                break;
-                            }
-                            if stop.load(pp::STOP_WAIT) {
-                                return;
-                            }
-                            spin_or_yield(&mut spins);
-                        }
-                        let cycle_now = base_now + (seen - 1);
-                        for i in lo..hi {
-                            // SAFETY: this worker owns indices [lo, hi) for
-                            // the duration of the epoch (see `Shards`);
-                            // `par_protocol::shard_range` partitions `0..n`
-                            // disjointly across workers.
-                            let router = unsafe { &mut *shards.routers[i].get() };
-                            // SAFETY: as above — same owner, same window.
-                            let out = unsafe { &mut *shards.outs[i].get() };
-                            router.step_into(
-                                topo_ref,
-                                cycle_now,
-                                out,
-                                &mut NopSink,
-                                &mut NopProfiler,
-                            );
-                        }
-                        done.fetch_add(1, pp::DONE_SIGNAL);
-                    }
-                }));
+            let mut pool = Pool::spawn(s, &shared, threads, self.routers.len());
+            for _ in 0..cycles {
+                self.cycle::<O, false>(obs, Some(&mut pool));
             }
+        });
+    }
 
-            for c in 0..cycles {
-                let cycle_now = base_now + c;
-                {
-                    // SAFETY: workers are parked awaiting the next epoch, so
-                    // the main thread has exclusive access to every cell;
-                    // `UnsafeCell` is `repr(transparent)` over its payload.
-                    let routers_mut: &mut [Router] = unsafe {
-                        std::slice::from_raw_parts_mut(
-                            guard.router_cells.as_ptr() as *mut Router,
-                            n,
-                        )
-                    };
-                    deliver_and_inject(
-                        topo_ref,
-                        cfg,
-                        wheel,
-                        routers_mut,
-                        terminals,
-                        stats,
-                        &mut NopSink,
-                        anatomy,
-                        cycle_now,
-                        &mut NopProfiler,
-                    );
+    /// The one cycle body every engine shares.
+    ///
+    /// Delivery and injection, the commit of every router's outputs in
+    /// router-id order and the end-of-cycle hook run on this thread.
+    /// Router compute runs here too, each router committed right after it
+    /// is computed, unless `pool` is given: then the pool computes every
+    /// router first. Compute touches only the router itself and commit
+    /// only schedules wheel events with delay >= 1, so both orders are
+    /// cycle-identical.
+    ///
+    /// With `SKIP_IDLE` (the active-set engine) routers with no buffered
+    /// flit and no flit in switch traversal are skipped. That is
+    /// cycle-identical: an idle router's step produces no outputs and
+    /// touches no allocator state; its only observable effect — one `empty`
+    /// stall count per input VC — is accrued as a debt settled by
+    /// [`Router::flush_skipped`].
+    fn cycle<O: Observer, const SKIP_IDLE: bool>(&mut self, obs: &mut O, pool: Option<&mut Pool>) {
+        let now = self.now;
+        self.deliver_and_inject(obs);
+        if let Some(pool) = pool {
+            pool.compute(&self.topo, now, &mut self.routers, &mut self.out_buf);
+            for r in 0..self.routers.len() {
+                self.commit(r, obs);
+            }
+        } else {
+            for r in 0..self.routers.len() {
+                if SKIP_IDLE && self.routers[r].is_idle() {
+                    self.routers[r].note_skipped();
+                    continue;
                 }
-                // RELAXED: ordered before the workers' reads by the
-                // program-order-later `EPOCH_PUBLISH` release on this same
-                // thread (mutant `done-reset-after-publish` in crates/mc
-                // shows why the order, not the ordering, is what matters).
-                done.store(0, pp::DONE_RESET);
-                epoch.fetch_add(1, pp::EPOCH_PUBLISH);
-                let mut spins = 0u32;
-                loop {
-                    if done.load(pp::DONE_WAIT) >= threads {
-                        break;
+                self.routers[r].step_into(&self.topo, now, &mut self.out_buf[r], obs);
+                self.commit(r, obs);
+            }
+        }
+        if cfg!(debug_assertions) {
+            // Debug builds run the (cheap) router-local invariants on every
+            // cycle, so the whole test suite exercises them; the credit
+            // audit runs only with a `StrictChecker` attached.
+            let mut strict = StrictChecker::default();
+            for r in &self.routers {
+                r.check_invariants(&mut strict);
+            }
+            assert!(
+                strict.violations.is_empty(),
+                "cycle {now}: router invariant violations: {:?}",
+                strict.violations
+            );
+        }
+        obs.cycle_end(self);
+        self.now += 1;
+    }
+
+    /// Pre-router phase of a cycle: deliver timing-wheel events landing
+    /// this cycle, then let every terminal generate and (if possible)
+    /// inject traffic.
+    fn deliver_and_inject<O: Observer>(&mut self, obs: &mut O) {
+        let now = self.now;
+        let traced = obs.in_compute();
+        // --- deliver link/credit events landing this cycle ----------------
+        let wheel_timer = obs.timed().then(Instant::now);
+        let mut wheel_events = 0u64;
+        // Take the slot, drain it, hand the buffer back: nothing schedules
+        // into the *current* slot (delays are >= 1 and < the wheel size), so
+        // the buffer is free to recycle once the loop ends.
+        let mut events = self.wheel.take(now);
+        for ev in events.drain(..) {
+            wheel_events += 1;
+            match ev {
+                Event::FlitToRouter {
+                    router,
+                    port,
+                    vc,
+                    flit,
+                } => {
+                    self.routers[router].accept_flit(port, vc, flit, now);
+                }
+                Event::CreditToRouter { router, port, vc } => {
+                    self.routers[router].accept_credit(port, vc);
+                }
+                Event::FlitToTerminal { term, vc, flit } => {
+                    self.stats.record_flit_ejected(now);
+                    obs.eject(&flit, now, self.stats.in_window(now));
+                    if flit.tail {
+                        self.stats
+                            .record_packet_from(now, flit.birth, flit.msg_class(), flit.src);
                     }
-                    if poisoned.load(pp::STOP_WAIT) {
-                        // A worker is unwinding and will never signal.
-                        // Stop touching the cells, release the surviving
-                        // workers, and re-raise the worker's own panic
-                        // payload (`thread::scope` would otherwise
-                        // replace it with a generic "a scoped thread
-                        // panicked"); `guard` restores the router state
-                        // on the way out.
-                        stop.store(true, pp::STOP_PUBLISH);
-                        for h in handles.drain(..) {
-                            if let Err(payload) = h.join() {
-                                std::panic::resume_unwind(payload);
-                            }
-                        }
-                        return;
+                    self.terminals[term].receive(&flit, now);
+                    // Ideal sink: return the credit immediately.
+                    let (router, port) = self.topo.terminal_attach(term);
+                    if traced {
+                        obs.flit(FlitEvent {
+                            cycle: now,
+                            kind: FlitEventKind::Eject,
+                            router: router as u32,
+                            port: port as u16,
+                            vc: vc as u16,
+                            packet_id: flit.packet_id,
+                            flit_index: flit.flit_index as u32,
+                        });
                     }
-                    spin_or_yield(&mut spins);
+                    self.wheel
+                        .schedule(now, 1, Event::CreditToRouter { router, port, vc });
                 }
-                // SAFETY: every worker signalled `done` for this epoch, so
-                // the main thread again has exclusive access.
-                let outs_mut: &mut [RouterOutputs] = unsafe {
-                    std::slice::from_raw_parts_mut(
-                        guard.out_cells.as_ptr() as *mut RouterOutputs,
-                        n,
-                    )
-                };
-                for r in 0..n {
-                    commit_outputs(
-                        topo_ref,
-                        rev,
-                        wheel,
-                        r,
-                        &mut outs_mut[r],
-                        anatomy,
-                        cycle_now,
-                    );
+                Event::CreditToTerminal { term, vc } => {
+                    self.terminals[term].accept_credit(vc);
                 }
-                // SAFETY: same exclusive-access window as the commit above.
-                let routers_ref: &[Router] = unsafe {
-                    std::slice::from_raw_parts(guard.router_cells.as_ptr() as *const Router, n)
-                };
-                finish_cycle(
-                    routers_ref,
-                    terminals,
-                    stats,
-                    metrics,
-                    telemetry,
-                    false,
-                    cycle_now,
+            }
+        }
+        self.wheel.recycle(events);
+        if let Some(t) = wheel_timer {
+            obs.phase(Phase::Credit, t.elapsed().as_nanos() as u64, wheel_events);
+        }
+
+        // --- terminals: traffic generation and injection -------------------
+        let (cfg, geom) = (&self.cfg, self.topo.geometry());
+        for term in &mut self.terminals {
+            term.generate_traffic_burst(cfg.injection_rate, cfg.pattern, geom, now, cfg.burst);
+            // A terminal with nothing queued and nothing in flight cannot
+            // inject and its step consumes no RNG, so skipping it is exact on
+            // every engine.
+            if term.backlog_packets() == 0 {
+                continue;
+            }
+            let (router, port) = (term.router, term.port);
+            let out = term.step(&self.topo, &RouterProbe(&self.routers[router]), now);
+            if let Some((vc, flit)) = out.flit {
+                self.stats.record_flit_injected(now);
+                if traced {
+                    obs.flit(FlitEvent {
+                        cycle: now,
+                        kind: FlitEventKind::Inject,
+                        router: router as u32,
+                        port: port as u16,
+                        vc: vc as u16,
+                        packet_id: flit.packet_id,
+                        flit_index: flit.flit_index as u32,
+                    });
+                }
+                self.wheel.schedule(
+                    now,
+                    1,
+                    Event::FlitToRouter {
+                        router,
+                        port,
+                        vc,
+                        flit,
+                    },
                 );
             }
-            *now = base_now + cycles;
-            drop(stop_guard);
-        });
+        }
+    }
+
+    /// Commit phase for one router: hand its hop records to `obs`, then
+    /// drain its output buffer into the timing wheel. Commits run in
+    /// router-id order on every engine, so what `obs` folds is
+    /// engine-invariant. All scheduled events carry delay >= 1, so commits
+    /// never feed back into the current cycle — the property that makes
+    /// the two-phase split cycle-identical to the interleaved step.
+    fn commit<O: Observer>(&mut self, r: usize, obs: &mut O) {
+        let now = self.now;
+        let out = &mut self.out_buf[r];
+        for h in out.hops.drain(..) {
+            obs.hop(h);
+        }
+        for of in out.flits.drain(..) {
+            if let Some(term) = self.topo.port_terminal(r, of.port) {
+                self.wheel.schedule(
+                    now,
+                    1,
+                    Event::FlitToTerminal {
+                        term,
+                        vc: of.vc,
+                        flit: of.flit,
+                    },
+                );
+            } else {
+                let Some(link) = self.topo.link(r, of.port) else {
+                    unreachable!("flit sent to port {} of router {r} with no link", of.port)
+                };
+                self.wheel.schedule(
+                    now,
+                    link.latency,
+                    Event::FlitToRouter {
+                        router: link.to_router,
+                        port: link.to_port,
+                        vc: of.vc,
+                        flit: of.flit,
+                    },
+                );
+            }
+        }
+        for (in_port, in_vc) in out.credits.drain(..) {
+            if let Some(term) = self.topo.port_terminal(r, in_port) {
+                self.wheel
+                    .schedule(now, 1, Event::CreditToTerminal { term, vc: in_vc });
+            } else {
+                let Some((ur, up, lat)) = self.rev[r][in_port] else {
+                    unreachable!("credit return on port {in_port} of router {r} with no link")
+                };
+                self.wheel.schedule(
+                    now,
+                    lat,
+                    Event::CreditToRouter {
+                        router: ur,
+                        port: up,
+                        vc: in_vc,
+                    },
+                );
+            }
+        }
     }
 
     /// Verifies credit conservation on every channel: upstream credits plus
     /// in-flight flits plus downstream occupancy plus in-flight return
     /// credits must equal the buffer depth, for router→router links,
     /// terminal injection channels and terminal ejection channels alike.
-    fn audit_credit_conservation<K: InvariantChecker>(&self, chk: &mut K) {
+    pub(crate) fn audit_credit_conservation(&self, chk: &mut StrictChecker) {
         use std::collections::HashMap;
         let depth = self.cfg.buf_depth;
         let Some(first) = self.routers.first() else {
@@ -787,11 +641,6 @@ impl<S: TraceSink> Network<S> {
         chk.add_checks(checks);
     }
 
-    /// Runs `cycles` network cycles.
-    pub fn run(&mut self, cycles: u64) {
-        self.run_in_order::<_, _, false>(cycles, &mut NopProfiler, &mut NopChecker);
-    }
-
     /// True when no flit is buffered, in flight, or queued anywhere.
     pub fn is_drained(&self) -> bool {
         self.wheel.is_empty()
@@ -858,259 +707,180 @@ impl<S: TraceSink> Network<S> {
     }
 }
 
-/// Pre-router phase of a cycle: deliver timing-wheel events landing this
-/// cycle, then let every terminal generate and (if possible) inject
-/// traffic. Free function (not a method) so the persistent-pool parallel
-/// engine can call it on destructured network fields while worker threads
-/// hold the topology borrow.
-#[allow(clippy::too_many_arguments)]
-fn deliver_and_inject<S: TraceSink, P: PhaseProfiler>(
-    topo: &Topology,
-    cfg: &SimConfig,
-    wheel: &mut TimingWheel,
-    routers: &mut [Router],
-    terminals: &mut [Terminal],
-    stats: &mut NetStats,
-    sink: &mut S,
-    anatomy: &mut Option<AnatomyCollector>,
+/// One epoch's work order, written by the main thread before it publishes
+/// the epoch: where the routers, their output buffers and the topology
+/// live, and the cycle to compute.
+#[derive(Clone, Copy)]
+struct Job {
+    topo: *const Topology,
+    routers: *mut Router,
+    outs: *mut RouterOutputs,
     now: u64,
-    prof: &mut P,
-) {
-    // --- deliver link/credit events landing this cycle ----------------
-    let wheel_timer = P::ACTIVE.then(Instant::now);
-    let mut wheel_events = 0u64;
-    // Take the slot, drain it, hand the buffer back: nothing schedules
-    // into the *current* slot (delays are >= 1 and < the wheel size), so
-    // the buffer is free to recycle once the loop ends.
-    let mut events = wheel.take(now);
-    for ev in events.drain(..) {
-        wheel_events += 1;
-        match ev {
-            Event::FlitToRouter {
-                router,
-                port,
-                vc,
-                flit,
-            } => {
-                routers[router].accept_flit(port, vc, flit, now);
-            }
-            Event::CreditToRouter { router, port, vc } => {
-                routers[router].accept_credit(port, vc);
-            }
-            Event::FlitToTerminal { term, vc, flit } => {
-                stats.record_flit_ejected(now);
-                if let Some(col) = anatomy {
-                    // Fold in wheel-delivery order: identical on every
-                    // engine (delivery always runs on the main thread).
-                    if flit.head {
-                        col.eject_head(flit.packet_id, flit.birth, flit.injected, now);
-                    }
-                    if flit.tail {
-                        col.eject_tail(
-                            flit.packet_id,
-                            flit.msg_class() as u8,
-                            now,
-                            stats.in_window(now),
-                        );
-                    }
-                }
-                if flit.tail {
-                    stats.record_packet_from(now, flit.birth, flit.msg_class(), flit.src);
-                }
-                terminals[term].receive(&flit, now);
-                // Ideal sink: return the credit immediately.
-                let (router, port) = topo.terminal_attach(term);
-                if S::ACTIVE {
-                    sink.record(FlitEvent {
-                        cycle: now,
-                        kind: FlitEventKind::Eject,
-                        router: router as u32,
-                        port: port as u16,
-                        vc: vc as u16,
-                        packet_id: flit.packet_id,
-                        flit_index: flit.flit_index as u32,
-                    });
-                }
-                wheel.schedule(now, 1, Event::CreditToRouter { router, port, vc });
-            }
-            Event::CreditToTerminal { term, vc } => {
-                terminals[term].accept_credit(vc);
-            }
-        }
-    }
-    wheel.recycle(events);
-    if let Some(t) = wheel_timer {
-        prof.record(Phase::Credit, t.elapsed().as_nanos() as u64, wheel_events);
-    }
+}
 
-    // --- terminals: traffic generation and injection -------------------
-    let n_term = terminals.len();
-    let geom = topo.geometry();
-    for t in 0..n_term {
-        terminals[t].generate_traffic_burst(cfg.injection_rate, cfg.pattern, geom, now, cfg.burst);
-        // A terminal with nothing queued and nothing in flight cannot
-        // inject and its step consumes no RNG, so skipping it is exact on
-        // every engine.
-        if terminals[t].backlog_packets() == 0 {
-            continue;
-        }
-        let router = terminals[t].router;
-        let port = terminals[t].port;
-        let out = terminals[t].step(topo, &RouterProbe(&routers[router]), now);
-        if let Some((vc, flit)) = out.flit {
-            stats.record_flit_injected(now);
-            if S::ACTIVE {
-                sink.record(FlitEvent {
-                    cycle: now,
-                    kind: FlitEventKind::Inject,
-                    router: router as u32,
-                    port: port as u16,
-                    vc: vc as u16,
-                    packet_id: flit.packet_id,
-                    flit_index: flit.flit_index as u32,
-                });
-            }
-            wheel.schedule(
-                now,
-                1,
-                Event::FlitToRouter {
-                    router,
-                    port,
-                    vc,
-                    flit,
-                },
-            );
+/// The state the parallel engine's main thread shares with its workers.
+///
+/// Safety protocol (machine-checked as the `run_par` model in
+/// `crates/mc`, see DESIGN.md §11): access alternates in phases. Between
+/// the main thread's epoch publication (`par_protocol::EPOCH_PUBLISH`)
+/// and a worker's completion signal (`par_protocol::DONE_SIGNAL`) only
+/// that worker touches its disjoint index range `[lo, hi)` of the routers
+/// and output buffers, and the main thread touches neither them nor
+/// `job`; at every other time (delivery, commit, finish) only the main
+/// thread does. The epoch/done atomics carry the Acquire/Release edges
+/// ordering those accesses.
+#[derive(Default)]
+struct Shared {
+    epoch: AtomicU64,
+    done: AtomicUsize,
+    stop: AtomicBool,
+    /// Set by a worker that unwinds: it will never signal `done`, so
+    /// without this flag the main thread would spin forever instead of
+    /// propagating the panic.
+    poisoned: AtomicBool,
+    job: UnsafeCell<Option<Job>>,
+}
+
+// SAFETY: `job` is the only field that is not `Sync`; the main thread
+// writes it only while every worker is parked between epochs, and workers
+// read it only after acquiring the epoch it was published with.
+unsafe impl Sync for Shared {}
+
+/// Spin briefly, then yield the timeslice: on oversubscribed or
+/// single-core hosts a pure spin burns a whole scheduler quantum before
+/// the peer thread can make the awaited progress.
+fn spin_or_yield(spins: &mut u32) {
+    *spins += 1;
+    if *spins < pp::SPIN_LIMIT {
+        std::hint::spin_loop();
+    } else {
+        std::thread::yield_now();
+    }
+}
+
+/// Sets the poison flag if the worker holding it unwinds.
+struct PoisonOnPanic<'a>(&'a AtomicBool);
+
+impl Drop for PoisonOnPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, pp::STOP_PUBLISH);
         }
     }
 }
 
-/// Commit phase for one router: drain its output buffer into the timing
-/// wheel. All scheduled events carry delay >= 1, so commits never feed
-/// back into the current cycle — the property that makes the two-phase
-/// split cycle-identical to the interleaved sequential step.
-fn commit_outputs(
-    topo: &Topology,
-    rev: &[Vec<RevLink>],
-    wheel: &mut TimingWheel,
-    r: usize,
-    out: &mut RouterOutputs,
-    anatomy: &mut Option<AnatomyCollector>,
-    now: u64,
-) {
-    // Ingest hop records before the wheel drain: commit runs in router-id
-    // order on every engine, so collector state is engine-invariant.
-    match anatomy {
-        Some(col) => {
-            for h in out.hops.drain(..) {
-                col.ingest_hop(h);
+impl Shared {
+    /// A worker's life: wait for each epoch, step routers `[lo, hi)` of its
+    /// job, signal done; return once `stop` is published.
+    fn work(&self, lo: usize, hi: usize) {
+        let _poison = PoisonOnPanic(&self.poisoned);
+        let mut seen = 0u64;
+        loop {
+            let mut spins = 0u32;
+            loop {
+                let e = self.epoch.load(pp::EPOCH_WAIT);
+                if e > seen {
+                    seen = e;
+                    break;
+                }
+                if self.stop.load(pp::STOP_WAIT) {
+                    return;
+                }
+                spin_or_yield(&mut spins);
             }
-        }
-        None => out.hops.clear(),
-    }
-    for of in out.flits.drain(..) {
-        if let Some(term) = topo.port_terminal(r, of.port) {
-            wheel.schedule(
-                now,
-                1,
-                Event::FlitToTerminal {
-                    term,
-                    vc: of.vc,
-                    flit: of.flit,
-                },
-            );
-        } else {
-            let Some(link) = topo.link(r, of.port) else {
-                unreachable!("flit sent to port {} of router {r} with no link", of.port)
+            // SAFETY: the main thread wrote `job` before publishing the
+            // epoch just acquired and writes it again only after every
+            // worker has signalled `done` (see `Shared`).
+            let Some(job) = (unsafe { *self.job.get() }) else {
+                unreachable!("an epoch is published with its job")
             };
-            wheel.schedule(
-                now,
-                link.latency,
-                Event::FlitToRouter {
-                    router: link.to_router,
-                    port: link.to_port,
-                    vc: of.vc,
-                    flit: of.flit,
-                },
-            );
-        }
-    }
-    for (in_port, in_vc) in out.credits.drain(..) {
-        if let Some(term) = topo.port_terminal(r, in_port) {
-            wheel.schedule(now, 1, Event::CreditToTerminal { term, vc: in_vc });
-        } else {
-            let Some((ur, up, lat)) = rev[r][in_port] else {
-                unreachable!("credit return on port {in_port} of router {r} with no link")
-            };
-            wheel.schedule(
-                now,
-                lat,
-                Event::CreditToRouter {
-                    router: ur,
-                    port: up,
-                    vc: in_vc,
-                },
-            );
+            // SAFETY: the topology outlives the run and nothing mutates it
+            // while a job is out.
+            let topo = unsafe { &*job.topo };
+            for i in lo..hi {
+                // SAFETY: this worker owns indices [lo, hi) of both arrays
+                // until it signals `done`: `par_protocol::shard_range`
+                // partitions `0..n` disjointly across workers, and the main
+                // thread touches neither array until every worker is done.
+                let (router, out) = unsafe { (&mut *job.routers.add(i), &mut *job.outs.add(i)) };
+                router.step_into(topo, job.now, out, &mut ());
+            }
+            self.done.fetch_add(1, pp::DONE_SIGNAL);
         }
     }
 }
 
-/// Post-commit bookkeeping: debug-build invariant checks, sampled time
-/// series, and flight-recorder window snapshots. Does not advance `now` —
-/// callers own the clock.
-fn finish_cycle(
-    routers: &[Router],
-    terminals: &[Terminal],
-    stats: &NetStats,
-    metrics: &mut Option<MetricsRegistry>,
-    telemetry: &mut Option<FlightRecorder>,
-    checker_active: bool,
-    now: u64,
-) {
-    if cfg!(debug_assertions) && !checker_active {
-        // Debug builds run the (cheap) router-local invariants on the
-        // ordinary step path too, so the whole test suite exercises
-        // them; the credit audit stays opt-in via an active checker.
-        let mut strict = crate::verify::StrictChecker::default();
-        for r in routers {
-            r.check_invariants(&mut strict);
-        }
-        assert!(
-            strict.violations.is_empty(),
-            "cycle {now}: router invariant violations: {:?}",
-            strict.violations
-        );
+/// The parallel engine's persistent worker pool, one per
+/// [`Network::run_parallel`] call. Dropping it publishes `stop`, on the
+/// normal path and on unwind alike, so `thread::scope` can join the
+/// workers instead of hanging when the main thread panics.
+struct Pool<'s> {
+    shared: &'s Shared,
+    workers: Vec<ScopedJoinHandle<'s, ()>>,
+}
+
+impl<'s> Pool<'s> {
+    /// Starts `threads` workers sharding `n` routers.
+    fn spawn(s: &'s Scope<'s, '_>, shared: &'s Shared, threads: usize, n: usize) -> Pool<'s> {
+        let workers = (0..threads)
+            .map(|k| {
+                let (lo, hi) = pp::shard_range(k, n, threads);
+                s.spawn(move || shared.work(lo, hi))
+            })
+            .collect();
+        Pool { shared, workers }
     }
 
-    // --- sampled time series -------------------------------------------
-    if let Some(m) = metrics {
-        if m.due(now) {
-            m.sample(
-                now,
-                routers.iter().map(|r| {
-                    (
-                        r.buffered_flits() as u32,
-                        r.busy_vcs() as u32,
-                        r.obs.total_out_flits(),
-                        r.ports(),
-                    )
-                }),
-            );
+    /// Computes every router for cycle `now` on the workers and waits for
+    /// them. The routers never move: each epoch's job carries fresh
+    /// pointers into the vectors, taken without creating a reference.
+    fn compute(
+        &mut self,
+        topo: &Topology,
+        now: u64,
+        routers: &mut Vec<Router>,
+        outs: &mut Vec<RouterOutputs>,
+    ) {
+        let job = Job {
+            topo,
+            routers: routers.as_mut_ptr(),
+            outs: outs.as_mut_ptr(),
+            now,
+        };
+        let sh = self.shared;
+        // SAFETY: every worker is parked awaiting the next epoch and reads
+        // `job` only after acquiring it, so this thread has sole access.
+        unsafe { *sh.job.get() = Some(job) };
+        // RELAXED: ordered before the workers' reads by the
+        // program-order-later `EPOCH_PUBLISH` release on this same
+        // thread (mutant `done-reset-after-publish` in crates/mc shows why
+        // the order, not the ordering, is what matters).
+        sh.done.store(0, pp::DONE_RESET);
+        sh.epoch.fetch_add(1, pp::EPOCH_PUBLISH);
+        let mut spins = 0u32;
+        while sh.done.load(pp::DONE_WAIT) < self.workers.len() {
+            if sh.poisoned.load(pp::STOP_WAIT) {
+                // A worker is unwinding and will never signal. Stop
+                // touching the routers, release the surviving workers, and
+                // re-raise the worker's own panic payload (`thread::scope`
+                // would otherwise replace it with a generic "a scoped
+                // thread panicked").
+                sh.stop.store(true, pp::STOP_PUBLISH);
+                for w in self.workers.drain(..) {
+                    if let Err(payload) = w.join() {
+                        std::panic::resume_unwind(payload);
+                    }
+                }
+                unreachable!("a poisoned pool holds a panicked worker");
+            }
+            spin_or_yield(&mut spins);
         }
     }
+}
 
-    // --- flight recorder ------------------------------------------------
-    // Keyed purely on the cycle number, so every engine records identical
-    // windows regardless of chunking or skipping.
-    if let Some(rec) = telemetry {
-        if rec.due(now) {
-            let injected: u64 = terminals.iter().map(|t| t.flits_injected).sum();
-            rec.record(
-                now,
-                injected,
-                stats.total_flits_ejected,
-                routers.iter().map(Router::telemetry_counters),
-            );
-        }
+impl Drop for Pool<'_> {
+    fn drop(&mut self) {
+        self.shared.stop.store(true, pp::STOP_PUBLISH);
     }
 }
 

@@ -7,20 +7,18 @@
 //! downstream. Buffers are statically partitioned, eight flits per VC, with
 //! credit-based flow control.
 
+use crate::observer::Observer;
 use crate::packet::Flit;
 use crate::routing::{route_at, RoutingKind};
 use crate::topology::Topology;
-use crate::verify::InvariantChecker;
+use crate::verify::StrictChecker;
 use noc_arbiter::Bits;
 use noc_core::{
     AllocatorKind, BitMatrix, DenseVcAllocator, OutVc, SparseVcAllocator, SpecAllocResult,
     SpecMode, SpeculativeSwitchAllocator, SwitchAllocatorKind, SwitchRequests, VcAllocSpec,
     VcAllocator, VcRequest,
 };
-use noc_obs::{
-    FlitEvent, FlitEventKind, HopRecord, NopProfiler, NopSink, Phase, PhaseProfiler,
-    RouterCounters, RouterObs, TraceSink,
-};
+use noc_obs::{FlitEvent, FlitEventKind, HopRecord, Phase, RouterCounters, RouterObs};
 use std::collections::VecDeque;
 use std::time::Instant;
 
@@ -359,26 +357,29 @@ impl Router {
         }
     }
 
-    /// Enables the packet ledger: per-hop stage attribution for every head
-    /// flit passing through, emitted as [`HopRecord`]s on
-    /// [`RouterOutputs::hops`] at switch traversal.
-    pub fn enable_anatomy(&mut self) {
+    /// Enables the packet ledger (once; later calls keep the ledger
+    /// running): per-hop stage attribution for every head flit passing
+    /// through, emitted as [`HopRecord`]s on [`RouterOutputs::hops`] at
+    /// switch traversal. Attaching an `AnatomyCollector` calls this.
+    pub(crate) fn enable_anatomy(&mut self) {
         let n = self.ports * self.vcs;
-        self.anatomy = Some(RouterAnatomy {
+        self.anatomy.get_or_insert_with(|| RouterAnatomy {
             arrivals: (0..n).map(|_| VecDeque::new()).collect(),
             acc: vec![HopAcc::default(); n],
         });
     }
 
-    /// Enables matching-quality sampling every `period` cycles (telemetry
-    /// opt-in; see [`MatchSampler`]).
-    pub fn enable_match_sampling(&mut self, period: u64) {
+    /// Enables matching-quality sampling every `period` cycles (once;
+    /// later calls keep the running sampler). Attaching a `FlightRecorder`
+    /// with a matching period calls this.
+    pub(crate) fn enable_match_sampling(&mut self, period: u64) {
         assert!(period > 0, "matching sample period must be positive");
-        self.match_sampler = Some(MatchSampler {
+        let ports = self.ports;
+        self.match_sampler.get_or_insert_with(|| MatchSampler {
             period,
             granted: 0,
             max: 0,
-            req: BitMatrix::new(self.ports, self.ports),
+            req: BitMatrix::new(ports, ports),
         });
     }
 
@@ -441,12 +442,12 @@ impl Router {
         );
     }
 
-    /// Runs one cycle without tracing or profiling, returning a fresh
-    /// output buffer (a convenience over [`Router::step_into`] for unit
-    /// tests; the network engines reuse their buffers).
+    /// Runs one cycle with no observer, returning a fresh output buffer
+    /// (a convenience over [`Router::step_into`] for unit tests; the
+    /// network engines reuse their buffers).
     pub fn step(&mut self, topo: &Topology, now: u64) -> RouterOutputs {
         let mut out = RouterOutputs::default();
-        self.step_into(topo, now, &mut out, &mut NopSink, &mut NopProfiler);
+        self.step_into(topo, now, &mut out, &mut ());
         out
     }
 
@@ -458,13 +459,15 @@ impl Router {
     /// directly: it only mutates this router (and `out`), reading nothing
     /// from other routers, which is what makes the compute phase safe to run
     /// for all routers in parallel before any output is committed.
-    pub fn step_into<S: TraceSink, P: PhaseProfiler>(
+    ///
+    /// `obs` receives this router's flit events and phase timings; with
+    /// `()` every event and clock read compiles away.
+    pub fn step_into<O: Observer>(
         &mut self,
         topo: &Topology,
         now: u64,
         out: &mut RouterOutputs,
-        sink: &mut S,
-        prof: &mut P,
+        obs: &mut O,
     ) {
         if self.test_panic_at == Some(now) {
             panic!("injected router panic (router {} cycle {now})", self.id);
@@ -474,6 +477,8 @@ impl Router {
         let v = self.vcs;
         let n = self.ports * v;
         let id = self.id as u32;
+        let traced = obs.in_compute();
+        let timed = obs.timed();
         let ev = move |kind, port: usize, vc: usize, f: &Flit| FlitEvent {
             cycle: now,
             kind,
@@ -485,8 +490,16 @@ impl Router {
         };
         macro_rules! trace {
             ($kind:expr, $port:expr, $vc:expr, $flit:expr) => {
-                if S::ACTIVE {
-                    sink.record(ev($kind, $port, $vc, $flit));
+                if traced {
+                    obs.flit(ev($kind, $port, $vc, $flit));
+                }
+            };
+            // The flit at the front of input VC `$in_flat`, if any.
+            ($kind:expr, $in_flat:expr) => {
+                if traced {
+                    if let Some(f) = self.in_buf[$in_flat].front() {
+                        obs.flit(ev($kind, $in_flat / v, $in_flat % v, f));
+                    }
                 }
             };
         }
@@ -496,7 +509,7 @@ impl Router {
         self.scratch.moved.clear();
 
         // ---- Stage 2: switch traversal of last cycle's grants ----------
-        let st_timer = P::ACTIVE.then(Instant::now);
+        let st_timer = timed.then(Instant::now);
         let mut route_nanos = 0u64;
         let mut route_events = 0u64;
         // Swap (not take) so both grant buffers keep their capacity.
@@ -558,7 +571,7 @@ impl Router {
             // links only; ejected flits need no further routing).
             if flit.head {
                 if let Some(link) = topo.link(self.id, out_port) {
-                    let route_timer = P::ACTIVE.then(Instant::now);
+                    let route_timer = timed.then(Instant::now);
                     let (la, rs) = route_at(
                         topo,
                         self.cfg.routing,
@@ -572,8 +585,8 @@ impl Router {
                     }
                     flit.lookahead = la;
                     flit.route_state = rs;
-                    if S::ACTIVE {
-                        sink.record(FlitEvent {
+                    if traced {
+                        obs.flit(FlitEvent {
                             router: link.to_router as u32,
                             ..ev(FlitEventKind::Route, la.out_port, 0, &flit)
                         });
@@ -597,8 +610,8 @@ impl Router {
             // Lookahead route computation happens *during* traversal, so
             // attribute its share separately and the remainder to ST.
             let total = t.elapsed().as_nanos() as u64;
-            prof.record(Phase::Route, route_nanos, route_events);
-            prof.record(
+            obs.phase(Phase::Route, route_nanos, route_events);
+            obs.phase(
                 Phase::Traversal,
                 total.saturating_sub(route_nanos),
                 st_flits,
@@ -606,7 +619,7 @@ impl Router {
         }
 
         // ---- Stage 1a: VC allocation ------------------------------------
-        let va_timer = P::ACTIVE.then(Instant::now);
+        let va_timer = timed.then(Instant::now);
         for slot in self.scratch.vca_reqs.iter_mut() {
             if let Some(r) = slot.take() {
                 self.scratch.spare_reqs.push(r);
@@ -658,22 +671,18 @@ impl Router {
                     self.free_out.set(port, vc, false);
                     self.scratch.va_winner.set(in_flat, true);
                     self.stats.vca_grants += 1;
-                    if S::ACTIVE {
-                        if let Some(f) = self.in_buf[in_flat].front() {
-                            trace!(FlitEventKind::VcaGrant, in_flat / v, in_flat % v, f);
-                        }
-                    }
+                    trace!(FlitEventKind::VcaGrant, in_flat);
                 }
             }
         }
 
         if let Some(t) = va_timer {
             let reqs = self.scratch.vca_reqs.iter().filter(|r| r.is_some()).count() as u64;
-            prof.record(Phase::VcAlloc, t.elapsed().as_nanos() as u64, reqs);
+            obs.phase(Phase::VcAlloc, t.elapsed().as_nanos() as u64, reqs);
         }
 
         // ---- Stage 1b: switch allocation --------------------------------
-        let sa_timer = P::ACTIVE.then(Instant::now);
+        let sa_timer = timed.then(Instant::now);
         self.scratch.nonspec.clear();
         self.scratch.spec.clear();
         let mut any_req = false;
@@ -695,11 +704,7 @@ impl Router {
                             .request(in_flat / v, in_flat % v, out_flat / v);
                         any_req = true;
                         self.scratch.bid.set(in_flat, true);
-                        if S::ACTIVE {
-                            if let Some(f) = self.in_buf[in_flat].front() {
-                                trace!(FlitEventKind::SaRequest, in_flat / v, in_flat % v, f);
-                            }
-                        }
+                        trace!(FlitEventKind::SaRequest, in_flat);
                     } else {
                         self.scratch.credit_blocked.set(in_flat, true);
                     }
@@ -735,12 +740,9 @@ impl Router {
             );
             let res = &self.scratch.sa_result;
             self.stats.spec_masked += res.masked.len() as u64;
-            if S::ACTIVE {
+            if traced {
                 for g in &res.masked {
-                    let in_flat = g.in_port * v + g.vc;
-                    if let Some(f) = self.in_buf[in_flat].front() {
-                        trace!(FlitEventKind::SaSpecMasked, g.in_port, g.vc, f);
-                    }
+                    trace!(FlitEventKind::SaSpecMasked, g.in_port * v + g.vc);
                 }
             }
             for g in &res.nonspec {
@@ -748,11 +750,7 @@ impl Router {
                 let in_flat = g.in_port * v + g.vc;
                 self.scratch.granted.set(in_flat, true);
                 self.st_stage.push((in_flat, g.out_port));
-                if S::ACTIVE {
-                    if let Some(f) = self.in_buf[in_flat].front() {
-                        trace!(FlitEventKind::SaGrant, g.in_port, g.vc, f);
-                    }
-                }
+                trace!(FlitEventKind::SaGrant, in_flat);
             }
             for g in &res.spec {
                 let in_flat = g.in_port * v + g.vc;
@@ -770,16 +768,12 @@ impl Router {
                     self.stats.spec_invalid += 1;
                     FlitEventKind::SaSpecInvalid
                 };
-                if S::ACTIVE {
-                    if let Some(f) = self.in_buf[in_flat].front() {
-                        trace!(kind, g.in_port, g.vc, f);
-                    }
-                }
+                trace!(kind, in_flat);
             }
         }
         if let Some(t) = sa_timer {
             let reqs = (self.scratch.bid.count_ones() + self.scratch.spec_bid.count_ones()) as u64;
-            prof.record(Phase::SwAlloc, t.elapsed().as_nanos() as u64, reqs);
+            obs.phase(Phase::SwAlloc, t.elapsed().as_nanos() as u64, reqs);
         }
 
         // ---- Matching-quality sample (opt-in telemetry) -----------------
@@ -923,11 +917,7 @@ impl Router {
     /// VC and per output port, each backed by an output VC, a downstream
     /// credit and a buffered flit), the input-VC/output-VC ownership
     /// bijection, buffer/credit bounds, and the no-flit-without-VC rule.
-    /// With a `!ACTIVE` checker this compiles to nothing.
-    pub fn check_invariants<K: InvariantChecker>(&self, chk: &mut K) {
-        if !K::ACTIVE {
-            return;
-        }
+    pub fn check_invariants(&self, chk: &mut StrictChecker) {
         let v = self.vcs;
         let n = self.ports * v;
         let depth = self.cfg.buf_depth;

@@ -4,13 +4,14 @@
 
 use crate::config::SimConfig;
 use crate::network::Network;
+use crate::observer::Observer;
 use crate::router::RouterStats;
 use crate::steady;
-use crate::verify::{InvariantChecker, NopChecker, StrictChecker, VerifyReport};
+use crate::verify::{StrictChecker, VerifyReport};
 use noc_obs::{
     percentile_table_json, AnatomyCollector, FlightRecorder, HdrHistogram, JsonValue, JsonWriter,
-    MetricsRegistry, NopProfiler, NopSink, PhaseProfiler, Profiler, RouterBreakdown, RouterObs,
-    TelemetrySummary, TraceSink, WindowSnapshot, DEFAULT_QUANTILES,
+    MetricsRegistry, Profiler, RouterBreakdown, RouterObs, TelemetrySummary, WindowSnapshot,
+    DEFAULT_QUANTILES,
 };
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -279,28 +280,21 @@ impl Engine {
     }
 
     /// Drives `net` for `cycles` cycles on this engine.
-    pub fn run<S: TraceSink>(self, net: &mut Network<S>, cycles: u64) {
-        self.run_observed(net, cycles, &mut NopProfiler, &mut NopChecker);
+    pub fn run(self, net: &mut Network, cycles: u64) {
+        self.run_with(net, cycles, &mut ());
     }
 
-    /// As [`Engine::run`], with a phase profiler and an invariant checker
-    /// attached. Both observe from inside the routers, so while either is
-    /// active the parallel engine computes routers in router-id order on
-    /// this thread — as it already does for an active trace sink — and
-    /// results, traces and dumps stay byte-identical across engines.
-    fn run_observed<S: TraceSink, P: PhaseProfiler, K: InvariantChecker>(
-        self,
-        net: &mut Network<S>,
-        cycles: u64,
-        prof: &mut P,
-        chk: &mut K,
-    ) {
+    /// As [`Engine::run`], with `obs` attached (first [`Observer::attach`],
+    /// then every hook of every cycle). The parallel engine keeps its
+    /// worker pool unless `obs` hooks inside router compute (see
+    /// [`Network::run_parallel`]), so results, traces and dumps stay
+    /// byte-identical across engines.
+    pub fn run_with<O: Observer>(self, net: &mut Network, cycles: u64, obs: &mut O) {
+        obs.attach(net);
         match self {
-            Engine::ActiveSet => net.run_in_order::<P, K, true>(cycles, prof, chk),
-            Engine::Parallel(_) if !P::ACTIVE && !K::ACTIVE => {
-                net.run_parallel(cycles, self.threads())
-            }
-            _ => net.run_in_order::<P, K, false>(cycles, prof, chk),
+            Engine::Sequential => net.run_in_order::<O, false>(cycles, obs),
+            Engine::ActiveSet => net.run_in_order::<O, true>(cycles, obs),
+            Engine::Parallel(_) => net.run_pool(cycles, self.threads(), obs),
         }
     }
 }
@@ -343,7 +337,7 @@ type WindowHook<'a> = Box<dyn FnMut(&WindowSnapshot) + 'a>;
 /// assert!(out.verify.is_some_and(|rep| rep.passed()));
 /// assert!(out.anatomy.is_some());
 /// ```
-pub struct Run<'a, S: TraceSink = NopSink> {
+pub struct Run<'a> {
     cfg: &'a SimConfig,
     /// Cycles before the measurement window; `None` lets a pilot run
     /// pick them (MSER truncation).
@@ -351,7 +345,7 @@ pub struct Run<'a, S: TraceSink = NopSink> {
     total: u64,
     engine: Engine,
     seeds: usize,
-    sink: S,
+    sink: Option<&'a mut dyn Observer>,
     metrics: Option<u64>,
     telemetry: Option<TelemetryOptions>,
     on_window: Option<WindowHook<'a>>,
@@ -404,7 +398,7 @@ impl<'a> Run<'a> {
             total,
             engine: Engine::Sequential,
             seeds: 1,
-            sink: NopSink,
+            sink: None,
             metrics: None,
             telemetry: None,
             on_window: None,
@@ -413,9 +407,7 @@ impl<'a> Run<'a> {
             verify: false,
         }
     }
-}
 
-impl<'a, S: TraceSink> Run<'a, S> {
     /// Drives the cycle loop with `engine` (default sequential).
     pub fn engine(mut self, engine: Engine) -> Self {
         self.engine = engine;
@@ -435,23 +427,11 @@ impl<'a, S: TraceSink> Run<'a, S> {
         self
     }
 
-    /// Reports every flit event to `sink`, which the caller reads after
-    /// [`Run::go`].
-    pub fn sink<T: TraceSink>(self, sink: &'a mut T) -> Run<'a, &'a mut T> {
-        Run {
-            cfg: self.cfg,
-            warmup: self.warmup,
-            total: self.total,
-            engine: self.engine,
-            seeds: self.seeds,
-            sink,
-            metrics: self.metrics,
-            telemetry: self.telemetry,
-            on_window: self.on_window,
-            anatomy: self.anatomy,
-            profile: self.profile,
-            verify: self.verify,
-        }
+    /// Lends `sink` every hook of the run (a trace sink takes every flit
+    /// event); the caller reads it after [`Run::go`].
+    pub fn sink(mut self, sink: &'a mut impl Observer) -> Self {
+        self.sink = Some(sink);
+        self
     }
 
     /// Samples the occupancy/utilization time series every
@@ -535,44 +515,59 @@ impl<'a, S: TraceSink> Run<'a, S> {
         })
     }
 
-    /// Runs the base-seed replicate with every observer attached.
+    /// Runs the base-seed replicate with every observer attached: one
+    /// tuple of them, or `()` when none was asked for.
     fn observe(self, warmup: u64, detected: Option<u64>) -> Result<RunOutput, Box<WatchdogTrip>> {
         let total = self.total;
-        let mut net = Network::with_sink(self.cfg.clone(), self.sink);
-        if let Some(interval) = self.metrics {
-            net.enable_metrics(interval);
-        }
-        if let Some(t) = &self.telemetry {
-            net.enable_telemetry(t.window, t.capacity, t.matching_period());
-        }
-        if let Some((capacity, top_k)) = self.anatomy {
-            net.enable_anatomy(capacity, top_k);
-        }
+        let mut net = Network::new(self.cfg.clone());
         if detected.is_some() {
             net.stats.enable_timeline(timeline_window_for(total));
         }
         net.stats.set_window(warmup, total);
+        let watched = self.sink.is_some()
+            || self.metrics.is_some()
+            || self.telemetry.is_some()
+            || self.anatomy.is_some()
+            || self.profile
+            || self.verify;
+        let mut sink = self.sink;
+        let mut metrics = self
+            .metrics
+            .map(|interval| MetricsRegistry::new(interval, net.router_count()));
+        let mut telemetry = self
+            .telemetry
+            .map(|t| FlightRecorder::new(t.window, t.capacity).with_matching(t.matching_period()));
+        let mut anatomy = self
+            .anatomy
+            .map(|(capacity, top_k)| AnatomyCollector::new(capacity, top_k));
+        let mut prof = self.profile.then(Profiler::default);
+        let mut chk = self.verify.then(StrictChecker::default);
         let engine = self.engine;
         let watchdog = self.telemetry.and_then(|t| t.watchdog);
         let chunk = self.telemetry.map_or(total, |t| t.window);
         let mut on_window = self.on_window;
-        let mut prof = self.profile.then(Profiler::default);
-        let mut chk = self.verify.then(StrictChecker::default);
         let mut done = 0u64;
         while done < total {
             let cycles = chunk.min(total - done);
             let start = prof.is_some().then(Instant::now);
-            match (&mut prof, &mut chk) {
-                (None, None) => engine.run(&mut net, cycles),
-                (Some(p), None) => engine.run_observed(&mut net, cycles, p, &mut NopChecker),
-                (None, Some(k)) => engine.run_observed(&mut net, cycles, &mut NopProfiler, k),
-                (Some(p), Some(k)) => engine.run_observed(&mut net, cycles, p, k),
+            if watched {
+                let mut obs = (
+                    &mut sink,
+                    &mut metrics,
+                    &mut telemetry,
+                    &mut anatomy,
+                    &mut prof,
+                    &mut chk,
+                );
+                engine.run_with(&mut net, cycles, &mut obs);
+            } else {
+                engine.run(&mut net, cycles);
             }
             if let (Some(p), Some(t)) = (&mut prof, start) {
                 p.wall_nanos += t.elapsed().as_nanos() as u64;
             }
             done += cycles;
-            let Some(rec) = &net.telemetry else {
+            let Some(rec) = &telemetry else {
                 continue;
             };
             if let Some(snap) = rec.latest().filter(|snap| snap.cycle == done) {
@@ -584,7 +579,7 @@ impl<'a, S: TraceSink> Run<'a, S> {
             if watchdog.is_some_and(|threshold| stalled >= threshold) {
                 let in_flight = rec.latest().map_or(0, |snap| snap.in_flight);
                 let (cycle, window) = (net.now, rec.window());
-                if let Some(recorder) = net.telemetry.take() {
+                if let Some(recorder) = telemetry.take() {
                     return Err(Box::new(WatchdogTrip {
                         cycle,
                         stalled_windows: stalled,
@@ -597,23 +592,26 @@ impl<'a, S: TraceSink> Run<'a, S> {
         }
         let mut result = summarize(&net);
         result.warmup_detected = detected;
+        result.telemetry = telemetry.as_ref().map(FlightRecorder::summary);
         if let Some(p) = &mut prof {
             p.cycles = total;
         }
         Ok(RunOutput {
             result,
             router_obs: net.router_obs(),
-            metrics: net.metrics.take(),
-            telemetry: net.telemetry.take(),
-            anatomy: net.anatomy.take(),
+            metrics,
+            telemetry,
+            anatomy,
             profile: prof,
             verify: chk.map(StrictChecker::into_report),
         })
     }
 }
 
-/// Builds a [`SimResult`] from a network that has finished running.
-pub fn summarize<S: TraceSink>(net: &Network<S>) -> SimResult {
+/// Builds a [`SimResult`] from a network that has finished running (with
+/// no telemetry block: the flight recorder is an observer, not part of
+/// the network).
+pub fn summarize(net: &Network) -> SimResult {
     let cfg = net.config();
     let terminals = net.topo.num_terminals();
     let avg = net.stats.avg_latency();
@@ -651,7 +649,7 @@ pub fn summarize<S: TraceSink>(net: &Network<S>) -> SimResult {
         ci95,
         seeds: 1,
         warmup_detected: None,
-        telemetry: net.telemetry.as_ref().map(FlightRecorder::summary),
+        telemetry: None,
         hist: net.stats.histogram().clone(),
         router_stats: net.router_stats(),
         routers: net.router_breakdowns(),

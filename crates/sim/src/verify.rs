@@ -1,52 +1,26 @@
-//! Zero-cost runtime invariant checking.
+//! Runtime invariant checking: the [`StrictChecker`] observer.
 //!
-//! The same const-`ACTIVE` pattern as `TraceSink` / `PhaseProfiler`: the
-//! network's step loop is generic over an [`InvariantChecker`], and with the
-//! default [`NopChecker`] every check (including the per-channel credit
-//! audit) compiles away entirely. `noc sim --verify` (`Run::verify`) runs
-//! with [`StrictChecker`] instead and reports:
+//! `noc sim --verify` (`Run::verify`) attaches a [`StrictChecker`], which
+//! at the end of every cycle, after commit and on the calling thread,
+//! checks and reports:
 //!
-//! * **matching legality** — every cycle, at most one switch grant per
-//!   input port and per output port, each grant backed by an output VC,
-//!   a credit and a buffered flit;
+//! * **matching legality** — at most one switch grant per input port and
+//!   per output port, each grant backed by an output VC, a credit and a
+//!   buffered flit;
 //! * **credit conservation** — for every channel (router→router link,
 //!   terminal injection, terminal ejection), upstream credits plus in-flight
 //!   flits plus downstream occupancy plus in-flight return credits equals
-//!   the buffer depth, every cycle;
+//!   the buffer depth;
 //! * **no flit without a VC** — a body flit can never sit at the head of an
 //!   input VC that holds no output VC.
 //!
-//! Debug builds additionally run the router-local checks inside
-//! `debug_assert`-gated code on the ordinary step path, so the whole test
-//! suite exercises them for free.
+//! Since it hooks nothing inside router compute, the parallel engine keeps
+//! its worker pool while it runs. Without it no check runs, except that
+//! debug builds run the router-local checks on every cycle, so the whole
+//! test suite exercises them for free.
 
-/// Per-cycle invariant sink. `ACTIVE = false` implementations compile all
-/// checking away.
-pub trait InvariantChecker {
-    /// Whether checks run at all. The step loop gates every check on this
-    /// associated constant, so a `false` impl costs nothing.
-    const ACTIVE: bool;
-
-    /// Records that `n` invariant checks were evaluated.
-    fn add_checks(&mut self, n: u64);
-
-    /// Records one invariant violation.
-    fn violation(&mut self, msg: String);
-}
-
-/// The no-op checker: all methods compile away.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NopChecker;
-
-impl InvariantChecker for NopChecker {
-    const ACTIVE: bool = false;
-
-    #[inline(always)]
-    fn add_checks(&mut self, _n: u64) {}
-
-    #[inline(always)]
-    fn violation(&mut self, _msg: String) {}
-}
+use crate::network::Network;
+use crate::observer::Observer;
 
 /// Cap on stored violation messages (the counter keeps counting).
 const MAX_STORED: usize = 64;
@@ -58,26 +32,24 @@ pub struct StrictChecker {
     pub checks: u64,
     /// Violations found (all of them, including those not stored).
     pub total_violations: u64,
-    /// First [`MAX_STORED`] violation messages.
+    /// The first `MAX_STORED` (64) violation messages.
     pub violations: Vec<String>,
 }
 
-impl InvariantChecker for StrictChecker {
-    const ACTIVE: bool = true;
-
-    fn add_checks(&mut self, n: u64) {
+impl StrictChecker {
+    /// Records that `n` invariant checks were evaluated.
+    pub fn add_checks(&mut self, n: u64) {
         self.checks += n;
     }
 
-    fn violation(&mut self, msg: String) {
+    /// Records one invariant violation.
+    pub fn violation(&mut self, msg: String) {
         self.total_violations += 1;
         if self.violations.len() < MAX_STORED {
             self.violations.push(msg);
         }
     }
-}
 
-impl StrictChecker {
     /// Finalizes into a report.
     pub fn into_report(self) -> VerifyReport {
         VerifyReport {
@@ -85,6 +57,15 @@ impl StrictChecker {
             total_violations: self.total_violations,
             violations: self.violations,
         }
+    }
+}
+
+impl Observer for StrictChecker {
+    fn cycle_end(&mut self, net: &Network) {
+        for r in net.routers() {
+            r.check_invariants(self);
+        }
+        net.audit_credit_conservation(self);
     }
 }
 
@@ -119,14 +100,6 @@ mod tests {
             .go()
             .expect("no telemetry, no trip");
         (out.result, out.verify.expect("checker attached"))
-    }
-
-    #[test]
-    fn nop_checker_is_inert() {
-        let mut n = NopChecker;
-        n.add_checks(10);
-        n.violation("x".into());
-        const { assert!(!NopChecker::ACTIVE) };
     }
 
     #[test]

@@ -1,9 +1,8 @@
-//! Panic-safety regression for the parallel engine: `run_parallel`
-//! `drain()`s the routers and output buffers into `UnsafeCell` shards, so
-//! before the restore guard a worker panic unwinding through
-//! `thread::scope` left the `Network` with zero routers (and a panic on
-//! the main thread hung the scope join forever). These tests inject a
-//! panicking router step and assert the network comes back intact.
+//! Panic-safety regression for the parallel engine: a worker panic
+//! unwinding through `thread::scope` once left the `Network` with zero
+//! routers (and a panic on the main thread hung the scope join forever).
+//! These tests inject a panicking router step and assert the panic
+//! propagates and the network comes back intact.
 
 use noc_sim::{Network, SimConfig, TopologyKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -54,8 +53,8 @@ fn worker_panic_restores_router_state() {
         msg.contains("injected router panic"),
         "unexpected panic payload: {msg}"
     );
-    // The drop guard must have restored every drained router and output
-    // buffer — before the fix this was 0 and the network was unusable.
+    // Every router must still be in the network — before the fix this
+    // was 0 and the network was unusable.
     assert_eq!(n.router_count(), full, "routers lost on unwind");
     // The network stays structurally sound: read-out paths must not
     // panic or see empty state.
@@ -66,8 +65,8 @@ fn worker_panic_restores_router_state() {
 
 #[test]
 fn panic_on_first_cycle_restores_router_state() {
-    // Cycle 0 panics before any epoch completes — the guard must restore
-    // even when no cycle ever committed.
+    // Cycle 0 panics before any epoch completes — the routers must
+    // survive even when no cycle ever committed.
     quiet_panics();
     let mut n = net();
     let full = n.router_count();
@@ -79,9 +78,8 @@ fn panic_on_first_cycle_restores_router_state() {
 
 #[test]
 fn single_threaded_and_sequential_paths_unaffected() {
-    // threads == 1 takes the in-order cycle body, which never drains
-    // the routers; the armed panic still propagates and the network
-    // still holds its routers.
+    // threads == 1 takes the in-order cycle body; the armed panic still
+    // propagates and the network still holds its routers.
     quiet_panics();
     let mut n = net();
     let full = n.router_count();
@@ -93,8 +91,8 @@ fn single_threaded_and_sequential_paths_unaffected() {
 
 #[test]
 fn unpoisoned_run_matches_sequential_after_fix() {
-    // The guard must not perturb the normal path: par stays bit-identical
-    // to seq on a short run.
+    // The panic handling must not perturb the normal path: par stays
+    // bit-identical to seq on a short run.
     quiet_panics();
     let mut a = net();
     let mut b = net();

@@ -140,10 +140,12 @@ Performance engines (noc sim, noc bench):
                           worker pool), active (skips idle routers), auto
                           (par on multi-core hosts). All engines are
                           cycle-identical; only wall-clock speed differs.
-                          --trace, --profile and --verify observe inside
-                          the routers: while any of them is on, par
-                          computes routers in router-id order on the main
-                          thread, so results and dumps stay byte-identical
+                          --trace and --profile observe inside router
+                          compute: while either is on, par computes
+                          routers in router-id order on the main thread.
+                          Every other observer (--verify included) runs
+                          on the main thread after commit, so par keeps
+                          its pool; results and dumps stay byte-identical
   --threads N             worker-pool size for --engine par (default: all
                           available cores)
 
@@ -562,10 +564,10 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     if args.flags.contains_key("verify") {
         run = run.verify();
     }
-    let outcome = match trace_path {
-        Some(_) => run.sink(&mut sink).go(),
-        None => run.go(),
-    };
+    if trace_path.is_some() {
+        run = run.sink(&mut sink);
+    }
+    let outcome = run.go();
     let header = telemetry.map(|t| TelemetryHeader {
         digest: cfg.digest(warmup, measure, TELEMETRY_SCHEMA),
         label: label.clone(),
@@ -612,7 +614,7 @@ fn cmd_sim(args: &Args) -> Result<(), String> {
     if let Some(path) = trace_path {
         std::fs::write(path, chrome_trace(&sink.events))
             .map_err(|e| format!("writing trace '{path}': {e}"))?;
-        eprintln!("wrote {} flit events to {path}", sink.events.len());
+        eprintln!("{}", trace_report(&sink, path));
     }
     if let Some(path) = metrics_path {
         let text = if path.ends_with(".json") || path.ends_with(".jsonl") {
@@ -1601,9 +1603,54 @@ fn main() -> ExitCode {
     }
 }
 
+/// The stderr line for a written trace. A sink that filled up kept the
+/// run's first events only, so the line then also names the events it
+/// dropped and the last cycle the file covers.
+fn trace_report(sink: &VecSink, path: &str) -> String {
+    let mut line = format!("wrote {} flit events to {path}", sink.events.len());
+    if sink.dropped > 0 {
+        let last = sink.events.last().map_or(0, |ev| ev.cycle);
+        line.push_str(&format!(
+            "; the trace reached its cap of {} events: {} later events were dropped \
+             and the file ends at cycle {last}",
+            sink.capacity(),
+            sink.dropped
+        ));
+    }
+    line
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn trace_report_names_dropped_events_and_the_last_cycle() {
+        let ev = |cycle| noc_obs::FlitEvent {
+            cycle,
+            kind: noc_obs::FlitEventKind::Inject,
+            router: 0,
+            port: 0,
+            vc: 0,
+            packet_id: cycle,
+            flit_index: 0,
+        };
+        let mut full = VecSink::with_capacity(2);
+        for cycle in [3, 5, 8, 9] {
+            full.record(ev(cycle));
+        }
+        assert_eq!(
+            trace_report(&full, "t.json"),
+            "wrote 2 flit events to t.json; the trace reached its cap of 2 events: \
+             2 later events were dropped and the file ends at cycle 5"
+        );
+        let mut roomy = VecSink::with_capacity(8);
+        roomy.record(ev(3));
+        assert_eq!(
+            trace_report(&roomy, "t.json"),
+            "wrote 1 flit events to t.json"
+        );
+    }
 
     fn args(s: &str) -> Args {
         let argv: Vec<String> = s.split_whitespace().map(String::from).collect();

@@ -60,9 +60,8 @@ fn assert_results_identical(prefix: &str) {
 /// Runs `cfg` for `cycles` cycles on `engine` with a digest sink attached
 /// and returns the finished sink.
 fn trace_digest(cfg: &SimConfig, engine: Engine, cycles: u64) -> DigestSink {
-    let mut net = Network::with_sink(cfg.clone(), DigestSink::with_cycle_digests());
-    engine.run(&mut net, cycles);
-    let mut sink = net.sink;
+    let mut sink = DigestSink::with_cycle_digests();
+    engine.run_with(&mut Network::new(cfg.clone()), cycles, &mut sink);
     sink.finish_cycles(cycles);
     sink
 }

@@ -32,9 +32,8 @@ fn golden_cfg(kind: TopologyKind) -> SimConfig {
 }
 
 fn run_digest(cfg: &SimConfig, engine: Engine) -> DigestSink {
-    let mut net = Network::with_sink(cfg.clone(), DigestSink::with_cycle_digests());
-    engine.run(&mut net, CYCLES);
-    let mut sink = net.sink;
+    let mut sink = DigestSink::with_cycle_digests();
+    engine.run_with(&mut Network::new(cfg.clone()), CYCLES, &mut sink);
     sink.finish_cycles(CYCLES);
     sink
 }
